@@ -22,7 +22,7 @@ fq_flow`` in preallocated arenas rather than boxed allocations:
   onto a free list so churn recycles without allocation.
 * :class:`PacingTable` — the shaping columns one shard worker needs
   (``rate_bps`` / ``burst_bytes`` / ``next_free_ns`` / ``credit_bytes``),
-  with a :meth:`PacingTable.stamp` that reproduces
+  with a per-packet :meth:`PacingTable.touch` that reproduces
   :meth:`ShapingTransaction.stamp
   <repro.core.model.transactions.ShapingTransaction.stamp>` arithmetic
   bit-for-bit, and :meth:`detach` / :meth:`install` that materialise /
@@ -355,7 +355,7 @@ class PacingTable(FlowTable):
 
     The array-backed replacement for ``ShardWorker``'s dict of
     :class:`~repro.core.model.transactions.ShapingTransaction` objects.
-    :meth:`stamp` repeats the transaction's arithmetic verbatim — same
+    :meth:`touch` repeats the transaction's arithmetic verbatim — same
     ``max``, same ``int(size * 8 / rate * 1e9)`` float expression, same
     credit bookkeeping — so every timestamp is bit-identical to the object
     implementation's.
@@ -374,67 +374,29 @@ class PacingTable(FlowTable):
     shard it detached from, exactly like a freshly created one.
     """
 
-    __slots__ = ("shard_id", "last_slot", "_rate", "_burst", "_next_free", "_credit")
+    __slots__ = ("shard_id", "_rate", "_burst", "_next_free", "_credit")
 
     def __init__(self, shard_id: int) -> None:
         super().__init__()
         self.shard_id = shard_id
-        self.last_slot = -1
         self._rate = self.add_column("rate_bps", "d", 0.0)
         self._burst = self.add_column("burst_bytes", "q", 0)
         self._next_free = self.add_column("next_free_ns", "q", 0)
         self._credit = self.add_column("credit_bytes", "q", 0)
 
-    @property
-    def table(self) -> "FlowTable":
-        """The underlying table (which is this object; kept for callers
-        written against the earlier wrapped-table layout)."""
-        return self
-
-    def slot_for(self, flow_id: int, rate_bps: float) -> int:
-        """Slot of the flow's pacing state, created at ``rate_bps`` if new.
-
-        An existing slot keeps its stored rate (and any adopted burst /
-        credit), matching the old behaviour where an existing transaction's
-        limit survived later ``flow_rates`` edits until explicitly reset.
-        """
-        slot = self.ensure(flow_id)
-        if self.created:
-            self._rate[slot] = rate_bps
-            # burst/next_free/credit start at the column defaults (0), the
-            # exact state of ShapingTransaction(name, RateLimit(rate_bps)).
-        return slot
-
-    def stamp(self, slot: int, size_bytes: int, now_ns: int) -> int:
-        """Timestamp one packet — ShapingTransaction.stamp, columnised."""
-        credit = self._credit[slot]
-        next_free = self._next_free[slot]
-        if credit >= size_bytes:
-            self._credit[slot] = credit - size_bytes
-            send_at = now_ns if now_ns > next_free else next_free
-            self._next_free[slot] = send_at
-            return send_at
-        send_at = now_ns if now_ns > next_free else next_free
-        release = send_at + int(size_bytes * 8 / self._rate[slot] * 1e9)
-        self._next_free[slot] = release if release < _I64_MAX else _I64_MAX
-        return send_at
-
     def touch(self, flow_id: int, rate_bps: float, size_bytes: int, now_ns: int) -> int:
-        """Fused per-packet path: ``stamp(slot_for(...), ...)`` in one call.
+        """Timestamp one packet of ``flow_id``: the per-packet pacing path.
 
-        One bound-method call and one probe replace the three-call chain,
-        which is what a packet-rate loop over millions of flows actually
-        pays for.  The probe duplicates :meth:`ensure`'s loop *including*
-        the insert epilogue, because under churn a quarter of touches are
-        creations and delegating those to ``slot_for`` would probe the
-        chain twice.  The resolved slot is left in :attr:`last_slot` for
-        callers with their own columns to update — the same no-tuple idiom
-        as :attr:`FlowTable.created` (which this method does not maintain;
-        creation is signalled by the rate write alone).  The index is
-        re-read every call because a rehash replaces it.  The stamp
-        arithmetic is kept textually identical to :meth:`stamp` (and
-        therefore to ``ShapingTransaction.stamp``); the equivalence tests
-        pin both.
+        One call and one probe: the probe duplicates :meth:`ensure`'s loop
+        *including* the insert epilogue, because under churn a quarter of
+        touches are creations and delegating those would probe the chain
+        twice.  A new flow starts at ``rate_bps`` with burst, credit and
+        next-free at 0 — the exact state of ``ShapingTransaction(name,
+        RateLimit(rate_bps))``; an existing flow keeps its stored rate (and
+        any adopted burst / credit), so ``rate_bps`` is only read on
+        creation.  The index is re-read every call because a rehash
+        replaces it.  The equivalence tests pin the stamps to
+        ``ShapingTransaction.stamp``.
         """
         index = self._index
         key = self.key
@@ -444,7 +406,16 @@ class PacingTable(FlowTable):
         while True:
             slot = index[cell]
             if slot == _EMPTY:
-                slot = -1
+                slot = self._alloc_slot(flow_id)
+                if reuse >= 0:
+                    index[reuse] = slot
+                    self._tombs -= 1
+                else:
+                    index[cell] = slot
+                    self._fill += 1
+                if self._fill * 3 >= self._cells * 2:
+                    self._rehash()
+                self._rate[slot] = rate_bps
                 break
             if slot == _TOMB:
                 if reuse < 0:
@@ -452,18 +423,6 @@ class PacingTable(FlowTable):
             elif key[slot] == flow_id:
                 break
             cell = (cell + 1) & mask
-        if slot < 0:
-            slot = self._alloc_slot(flow_id)
-            if reuse >= 0:
-                index[reuse] = slot
-                self._tombs -= 1
-            else:
-                index[cell] = slot
-                self._fill += 1
-            if self._fill * 3 >= self._cells * 2:
-                self._rehash()
-            self._rate[slot] = rate_bps
-        self.last_slot = slot
         credit = self._credit[slot]
         next_free = self._next_free[slot]
         if credit >= size_bytes:
@@ -475,6 +434,10 @@ class PacingTable(FlowTable):
         release = send_at + int(size_bytes * 8 / self._rate[slot] * 1e9)
         self._next_free[slot] = release if release < _I64_MAX else _I64_MAX
         return send_at
+
+    def stamp(self, slot: int, size_bytes: int, now_ns: int) -> int:
+        """Timestamp one packet of the live flow holding ``slot`` (via :meth:`touch`)."""
+        return self.touch(self.key[slot], 0.0, size_bytes, now_ns)
 
     # -- handoff (migration + stealing wire format) ------------------------
 

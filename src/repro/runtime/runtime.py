@@ -249,7 +249,8 @@ class ShardedRuntime:
         horizon_ns / num_buckets / queue_factory / mailbox_capacity: per
             shard worker configuration (see :class:`ShardWorker`).
         rebalancer: optional skew-aware rebalancer; requires
-            ``rebalance_interval_ns``.
+            ``rebalance_interval_ns``.  The sharder's load window is only
+            fed while one is configured.
         rebalance_interval_ns: period of the rebalancing sweep; when set
             without an explicit ``rebalancer`` a default one is built.
         steal_enabled: turn on cross-shard work stealing — an idle shard
@@ -570,14 +571,11 @@ class ShardedRuntime:
         self._since_gc = 0
         self.gc_sweep_limit = gc_sweep_limit
         # Per-flow ownership state, columnised (see repro.runtime.flowstate):
-        # home shard, in-flight packet count, and a last-activity stamp (a
-        # monotonic accepted-packet sequence number — recency for telemetry
-        # and debugging without reading the clock per packet).
+        # home shard and in-flight packet count.
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
         self._pending = self.flows.add_column("pending", "i", 0)
-        self._last_seen = self.flows.add_column("last_seen", "q", 0)
-        self._flow_seq = 0
+        self._routes: Dict[int, List[int]] = {}  # flow -> [shard, slot] (_route)
         self._gc_cursor = 0
         self._tick_handles: List[Optional[EventHandle]] = [None] * num_shards
         self._rebalance_handle: Optional[EventHandle] = None
@@ -655,49 +653,69 @@ class ShardedRuntime:
             record_transmits=self.record_transmits,
         )
 
-    # -- ingress -----------------------------------------------------------
+    # -- routing -----------------------------------------------------------
 
     def _route(self, flow_id: int) -> int:
-        """Shard for the next packet of ``flow_id`` (residency beats placement).
+        """Shard for the next packet of ``flow_id`` (one probe per flow per batch).
 
-        Pure lookup — home/migration state only changes once a packet is
-        actually accepted (:meth:`_commit_route`), so a dropped packet never
-        registers a migration.  A flow whose due window is on loan to a
-        thief stays owned by the victim that granted the lease, even in the
-        instant its in-flight count touches zero mid-delivery — migrating
-        right then would strand the pacing state travelling with the lease.
+        A loan beats residency, residency beats placement: a flow on loan to
+        a thief stays with the victim that granted the lease (migrating it
+        would strand the pacing state travelling with the lease), and a flow
+        with packets in flight follows them home.  Pure lookup — state only
+        changes once a packet is accepted (:meth:`_commit`, which reuses the
+        ``[shard, slot]`` kept in ``_routes``; callers clear it per batch).
         """
-        loan = self.sharder.loan_shard(flow_id)
-        if loan is not None:
-            return loan
+        route = self._routes.get(flow_id)
+        if route is not None:
+            return route[0]
         slot = self.flows.lookup(flow_id)
-        if slot >= 0 and self._pending[slot] > 0:
-            home = self._home[slot]
-            if home >= 0:
-                return home
-        return self.sharder.shard_for(flow_id)
+        sharder = self.sharder
+        loan = sharder.loan_shard(flow_id) if sharder.has_loans else None
+        if loan is not None:
+            shard = loan
+        elif slot >= 0 and self._pending[slot] > 0 and self._home[slot] >= 0:
+            shard = self._home[slot]
+        else:
+            shard = sharder.shard_for(flow_id)
+        self._routes[flow_id] = [shard, slot]
+        return shard
 
-    def _commit_route(self, flow_id: int, shard: int) -> None:
-        """Record one accepted packet of ``flow_id`` on ``shard``.
+    def _commit(self, shard: int, packets: List[Packet]) -> None:
+        """Record the accepted ``packets`` of this batch on ``shard``.
 
-        The first packet landing on a new home completes the migration: the
-        flow's pacing state moves with it (an RFS-style flow-state handoff),
-        so ``_next_free_ns`` and the remaining burst credit survive and the
-        flow cannot exceed its configured rate by hopping shards.
+        Reuses each flow's routed slot once per flow-run (a new flow's slot
+        is created at its first accepted packet); only GC frees slots, never
+        inside a submit.  The first packet on a new home moves the flow's
+        pacing state with it (an RFS-style handoff), so it cannot exceed its
+        rate by hopping shards.  The load window is fed only for a rebalancer.
         """
-        slot = self.flows.ensure(flow_id)
-        home = self._home[slot]
-        if home != shard:
-            if home >= 0:
-                self.migrations_applied += 1
-                shaper = self.workers[home].release_shaper(flow_id)
-                if shaper is not None:
-                    self.workers[shard].adopt_shaper(flow_id, shaper)
-            self._home[slot] = shard
-        self._pending[slot] += 1
-        self._flow_seq += 1
-        self._last_seen[slot] = self._flow_seq
-        self.sharder.record(flow_id, shard)
+        routes = self._routes
+        home_col = self._home
+        pending_col = self._pending
+        record = self.sharder.record if self.rebalancer is not None else None
+        last_flow = None
+        slot = -1
+        for packet in packets:
+            flow_id = packet.flow_id
+            if flow_id != last_flow:
+                last_flow = flow_id
+                route = routes[flow_id]
+                slot = route[1]
+                if slot < 0:
+                    slot = route[1] = self.flows.ensure(flow_id)
+                home = home_col[slot]
+                if home != shard:
+                    if home >= 0:
+                        self.migrations_applied += 1
+                        shaper = self.workers[home].release_shaper(flow_id)
+                        if shaper is not None:
+                            self.workers[shard].adopt_shaper(flow_id, shaper)
+                    home_col[slot] = shard
+            pending_col[slot] += 1
+            if record is not None:
+                record(flow_id, shard)
+
+    # -- ingress -----------------------------------------------------------
 
     def submit(self, packet: Packet) -> bool:
         """Offer one packet to the runtime; False when it was dropped.
@@ -718,6 +736,7 @@ class ShardedRuntime:
             self._arm_timeline()
         if self.ingress_cores:
             return self._offer_ingress([packet]) == 1
+        self._routes.clear()
         shard = self._route(packet.flow_id)
         if self._faults is not None and self._faults.take_handoff_drops(shard, 1):
             # The handoff seam ate the packet before anything committed:
@@ -738,18 +757,20 @@ class ShardedRuntime:
         if not self.workers[shard].mailbox.push(packet):
             self.ingress_drops += 1
             return False
-        self._commit_route(packet.flow_id, shard)
+        self._commit(shard, [packet])
         self._wake_shard(shard)
         self._wake_idle_thieves(shard)
         self._arm_rebalance()
         return True
 
     def submit_batch(self, packets: List[Packet]) -> int:
-        """Offer a burst; routing stays per-flow, pushes are batched per shard.
+        """Offer a burst; each flow is routed once, pushes are batched per shard.
 
-        Returns the number of packets accepted.  On a parallel backend the
-        burst is buffered for time 0 of the run and the count is optimistic
-        (see :meth:`submit`).
+        Each flow is resolved once on the state from before the burst, and
+        the commit of each shard's accepted prefix reuses its slot per
+        flow-run.  Returns the number of packets accepted.  On a parallel
+        backend the burst is buffered for time 0 of the run and the count
+        is optimistic (see :meth:`submit`).
         """
         if self.backend.parallel:
             self.backend.submit_at(0, packets)
@@ -765,6 +786,7 @@ class ShardedRuntime:
                 packet.metadata["mbox_ns"] = now
         by_shard: Dict[int, List[Packet]] = {}
         get_group = by_shard.get
+        self._routes.clear()
         route = self._route
         for packet in packets:
             shard = route(packet.flow_id)
@@ -797,8 +819,7 @@ class ShardedRuntime:
             self.ingress_drops += len(group) - taken
             # Tail drop keeps the accepted prefix, so pending counts follow
             # the prefix of each flow's packets within this shard's group.
-            for packet in group[:taken]:
-                self._commit_route(packet.flow_id, shard)
+            self._commit(shard, group[:taken])
             if taken or before:
                 self._wake_shard(shard)
                 self._wake_idle_thieves(shard)
@@ -910,6 +931,7 @@ class ShardedRuntime:
             return
         if self._wedged and lane in self._wedged:
             return
+        self._routes.clear()
         delivered = core.pull(now, self._route, self._mailboxes, self._ingress_deliver)
         if self.tracer is not None:
             self.tracer.emit(
@@ -931,7 +953,7 @@ class ShardedRuntime:
         )
 
     def _ingress_deliver(self, shard: int, packets: List[Packet]) -> int:
-        """Land one classified per-shard group in its mailbox (core -> core)."""
+        """Land one per-shard group, routed this pull, in its mailbox."""
         if self._faults is not None:
             dropped = self._faults.take_handoff_drops(shard, len(packets))
             if dropped:
@@ -961,8 +983,7 @@ class ShardedRuntime:
                 "mailbox_handoff",
                 {"offered": len(packets), "accepted": taken},
             )
-        for packet in packets[:taken]:
-            self._commit_route(packet.flow_id, shard)
+        self._commit(shard, packets[:taken])
         if taken or before:
             self._wake_shard(shard)
             self._wake_idle_thieves(shard)
@@ -1054,9 +1075,9 @@ class ShardedRuntime:
         """Hand released packets to the NIC side; settle leases they close.
 
         This runs once per drained packet for the whole runtime, so every
-        per-packet lookup is hoisted into a local before the loop and the
+        per-packet lookup is hoisted into a local before the loop, the
         optional branches (transmit log, callback, open leases) are resolved
-        once per call rather than once per packet.
+        once per call, and each flow's pending slot once per flow-run.
         """
         finished: List[FlowLease] = []
         lookup = self.flows.lookup
@@ -1065,6 +1086,8 @@ class ShardedRuntime:
         on_transmit = self.on_transmit
         open_leases = self._open_leases
         e2e = self._e2e
+        last_flow = None
+        slot = -1
         for packet in released:
             packet.departure_ns = now
             if e2e is not None:
@@ -1072,7 +1095,9 @@ class ShardedRuntime:
                 if submitted_ns is not None:
                     e2e.record(now - submitted_ns)
             flow_id = packet.flow_id
-            slot = lookup(flow_id)
+            if flow_id != last_flow:
+                last_flow = flow_id
+                slot = lookup(flow_id)
             if slot >= 0:
                 pending = pending_col[slot] - 1
                 pending_col[slot] = pending if pending > 0 else 0
@@ -1296,7 +1321,7 @@ class ShardedRuntime:
         key = flows.key
         home_col = self._home
         pending_col = self._pending
-        loan_shard = self.sharder.loan_shard
+        loan_shard = self.sharder.loan_shard if self.sharder.has_loans else None
         forget = self.sharder.forget
         workers = self.workers
         limit = self.gc_sweep_limit
@@ -1324,9 +1349,9 @@ class ShardedRuntime:
             # Mid-lease the flow's pacing state lives inside the lease, not
             # on its shard, so the "no live pacing state" probe would
             # misfire and orphan the state the lease hands back — skip.
-            elif loan_shard(flow_id) is None and workers[home].gc_flow(
-                flow_id, now_ns
-            ):
+            elif (
+                loan_shard is None or loan_shard(flow_id) is None
+            ) and workers[home].gc_flow(flow_id, now_ns):
                 flows.remove(flow_id)
                 forget(flow_id)
                 stats.gc_reclaimed += 1

@@ -222,6 +222,8 @@ class FlowSharder:
         flow returns it is placed afresh by the policy, and the rebalancer
         re-pins it should it become hot again.
         """
+        if not self.flows:
+            return  # hash placement with nothing pinned, loaned or windowed
         slot = self.flows.lookup(flow_id)
         if slot < 0:
             return
@@ -267,6 +269,11 @@ class FlowSharder:
             self._loan[slot] = -1
             self._num_loans -= 1
             self._release_if_idle(slot, flow_id)
+
+    @property
+    def has_loans(self) -> bool:
+        """True while any flow is on loan: the cheap test before :meth:`loan_shard`."""
+        return self._num_loans > 0
 
     def loan_shard(self, flow_id: int) -> Optional[int]:
         """The victim shard that owns ``flow_id`` while on loan, or ``None``."""

@@ -171,13 +171,6 @@ class ShardWorker:
         self.flow_rates[flow_id] = rate_bps
         self.pacing.remove(flow_id)
 
-    def _pacing_slot(self, flow_id: int) -> int:
-        """Pacing-table slot of ``flow_id`` (created on demand), -1 if unpaced."""
-        rate = self.flow_rates.get(flow_id, self.default_rate_bps)
-        if rate is None:
-            return -1
-        return self.pacing.slot_for(flow_id, rate)
-
     def release_shaper(self, flow_id: int) -> Optional[ShapingTransaction]:
         """Detach and return the flow's pacing state (``None`` if stateless).
 
@@ -221,31 +214,26 @@ class ShardWorker:
     def _stamp_and_enqueue(self, packets: List[Packet], now_ns: int) -> int:
         """Stamp ``packets`` with their flows' pacing state, one batched enqueue.
 
-        RX bursts are bursty *per flow*, so the flow-state lookup is cached
-        across a run of same-flow packets within the batch; the modelled
-        ``flow_lookup`` charge stays per-packet (one batched charge), since
-        the cost model prices the hash-table probe a real per-packet
-        classifier performs, not this interpreter's memoisation.
+        One :meth:`PacingTable.touch` (one call, one probe) per paced packet;
+        the rate lookup is cached per run of same-flow packets.  The modelled
+        ``flow_lookup`` charge stays per-packet (the probe a real classifier
+        performs).  The caller settles the queue counters.
         """
         pairs = []
         append = pairs.append
-        shard_id = self.shard_id
-        slot_for = self._pacing_slot
-        stamp = self.pacing.stamp
+        touch = self.pacing.touch
+        get_rate = self.flow_rates.get
+        default_rate = self.default_rate_bps
         last_flow = None
-        slot = -1
+        rate = None
         for packet in packets:
             flow_id = packet.flow_id
             if flow_id != last_flow:
                 last_flow = flow_id
-                slot = slot_for(flow_id)
-            send_at = now_ns if slot < 0 else stamp(slot, packet.size_bytes, now_ns)
-            metadata = packet.metadata
-            metadata["send_at_ns"] = send_at
-            metadata["shard"] = shard_id
+                rate = get_rate(flow_id, default_rate)
+            send_at = now_ns if rate is None else touch(flow_id, rate, packet.size_bytes, now_ns)
             append((send_at, packet))
-        count = len(pairs)
-        self.cost.charge("flow_lookup", count)
+        self.cost.charge("flow_lookup", len(pairs))
         queue = self.queue
         before = len(queue)
         try:
@@ -260,7 +248,6 @@ class ShardWorker:
             stats.ingested += count
             if self._backlog > stats.backlog_peak:
                 stats.backlog_peak = self._backlog
-            self._charge_queue_delta()
         return count
 
     def ingest(self, now_ns: int, limit: Optional[int] = None) -> int:
@@ -270,7 +257,8 @@ class ShardWorker:
         Arrivals for a flow that is on loan are deferred unstamped — the
         flow's pacing state travelled with the lease, and stamping with a
         fresh shaper would regrant the burst — and are stamped in arrival
-        order when the lease returns (:meth:`end_lease`).
+        order when the lease returns (:meth:`end_lease`).  The queue work
+        is charged when :meth:`tick` (or the next lease operation) settles.
         """
         batch = self.mailbox.drain(limit)
         if not batch:
@@ -304,6 +292,7 @@ class ShardWorker:
         released — the thief holds earlier packets of that flow, and
         releasing these now would overtake them.  They flush, still in
         per-flow FIFO order, when the lease returns (:meth:`end_lease`).
+        Charged when :meth:`tick` (or the next lease operation) settles.
         """
         drained = self.queue.extract_due(now_ns, limit=limit)
         self._backlog -= len(drained)
@@ -325,14 +314,16 @@ class ShardWorker:
         else:
             released = [packet for _send_at, packet in drained]
         self.stats.transmitted += len(released)
-        self._charge_queue_delta()
         return released
 
     def tick(self, now_ns: int, ingest_limit: Optional[int], drain_limit: Optional[int]) -> List[Packet]:
         """One scheduling quantum: batched ingest then batched drain.
 
         Charges the fixed per-invocation cost a real worker loop pays
-        (module call, prefetch, loop setup) on top of the per-packet work.
+        (module call, prefetch, loop setup) on top of the per-packet work,
+        and settles the queue's operation counters once for the whole
+        quantum (every cost is a whole number of cycles, so one settlement
+        charges exactly what two would).
         """
         self.stats.ticks += 1
         self.cost.charge("batch_overhead")
@@ -342,6 +333,7 @@ class ShardWorker:
         # enqueue; that is still work, not an idle tick.
         consumed = ingested or len(self.mailbox) != mailbox_before
         released = self.drain_due(now_ns, drain_limit)
+        self._charge_queue_delta()
         if not consumed and not released:
             self.stats.idle_ticks += 1
         return released
@@ -436,6 +428,7 @@ class ShardWorker:
         self.stats.transmitted += len(released)
         if reingest:
             self._stamp_and_enqueue(reingest, now_ns)
+            self._charge_queue_delta()
         self.steal.leases_returned += 1
         return released
 
@@ -451,13 +444,13 @@ class ShardWorker:
         charged to *this* core — the cycles that stealing moves off the
         bottleneck shard.
         """
+        self._charge_queue_delta()  # settle this shard's own work first
         before = self.cost.total_cycles
         self.cost.charge("lock")  # cross-core handoff on the acceptor side
         self.cost.charge_queue_stats(lease.queue_delta.as_dict())
         for _send_at, packet in lease.packets:
             packet.metadata["stolen_from"] = lease.victim_shard
             packet.metadata["lease_id"] = lease.lease_id
-            packet.metadata["shard"] = self.shard_id
         before = len(self.queue)
         try:
             self.queue.enqueue_batch(lease.packets)

@@ -143,11 +143,15 @@ class TestPacingTable:
         pacing.install(5, ShapingTransaction("ref", RateLimit(rate, burst)))
         slot = pacing.lookup(5)
         now = 0
-        for _ in range(300):
+        for step in range(300):
             now += rng.randrange(0, 50_000)
             size = rng.choice([64, 512, 1500, 9000])
             expected = reference.stamp(Packet(flow_id=5, size_bytes=size), now)
-            assert pacing.stamp(slot, size, now) == expected
+            # An installed flow keeps its own rate: touch's rate is unused.
+            if step % 2:
+                assert pacing.touch(5, 1.0, size, now) == expected
+            else:
+                assert pacing.stamp(slot, size, now) == expected
             assert pacing.next_free_at(slot) == reference.next_free_ns
 
     def test_stamp_equivalence_no_burst(self):
@@ -159,38 +163,40 @@ class TestPacingTable:
     def test_stamp_equivalence_slow_rate(self):
         self._random_equivalence(1e3, 1500, seed=3)
 
-    def test_touch_equals_slot_for_plus_stamp(self):
-        """The fused hot path must be observationally the three-call chain."""
+    def test_touch_equals_transactions_under_churn(self):
+        """touch over many flows is a dict of ShapingTransactions, stamp for stamp."""
         rng = random.Random(9)
-        fused = PacingTable(shard_id=0)
-        chained = PacingTable(shard_id=0)
+        pacing = PacingTable(shard_id=0)
+        reference = {}
         for step in range(2000):
             flow = rng.randrange(40)
             now = step * 10_000
             size = rng.choice([64, 1500])
-            expected = chained.stamp(
-                chained.slot_for(flow, RATE_BPS), size, now
+            shaper = reference.setdefault(
+                flow, ShapingTransaction(f"ref-{flow}", RateLimit(RATE_BPS))
             )
-            assert fused.touch(flow, RATE_BPS, size, now) == expected
-            assert fused.last_slot == fused.lookup(flow)
+            expected = shaper.stamp(Packet(flow_id=flow, size_bytes=size), now)
+            assert pacing.touch(flow, RATE_BPS, size, now) == expected
             if rng.random() < 0.2:  # churn: exercise tombstones + rehash
-                fused.remove(flow)
-                chained.remove(flow)
-        assert len(fused) == len(chained)
+                pacing.remove(flow)
+                del reference[flow]
+        assert sorted(pacing.live_flows()) == sorted(reference)
 
-    def test_slot_for_initialises_fresh_state_only(self):
+    def test_touch_initialises_fresh_state_only(self):
         pacing = PacingTable(shard_id=3)
-        slot = pacing.slot_for(9, RATE_BPS)
-        assert pacing.stamp(slot, 1500, 1000) == 1000
+        assert pacing.touch(9, RATE_BPS, 1500, 1000) == 1000
+        slot = pacing.lookup(9)
+        first_release = pacing.next_free_at(slot)
+        assert first_release == 1000 + 12_000
         # An existing entry keeps its stored rate across later calls.
-        assert pacing.slot_for(9, 1.0) == slot
-        assert pacing.next_free_at(slot) > 1000
+        assert pacing.touch(9, 1.0, 1500, 1000) == first_release
+        assert pacing.lookup(9) == slot
+        assert pacing.next_free_at(slot) == first_release + 12_000
 
     def test_detach_install_roundtrip(self):
         pacing = PacingTable(shard_id=2)
-        slot = pacing.slot_for(7, 5e6)
-        pacing.stamp(slot, 1500, 1_000_000)
-        next_free = pacing.next_free_at(slot)
+        pacing.touch(7, 5e6, 1500, 1_000_000)
+        next_free = pacing.next_free_ns(7)
         shaper = pacing.detach(7)
         assert 7 not in pacing
         assert shaper.name == "shard2-flow-7"
@@ -210,27 +216,23 @@ class TestPacingTable:
 
     def test_extreme_rate_saturates_instead_of_overflowing(self):
         pacing = PacingTable(shard_id=0)
-        slot = pacing.slot_for(1, 1e-9)  # ~38k years per packet
-        send_at = pacing.stamp(slot, 9000, 0)
+        send_at = pacing.touch(1, 1e-9, 9000, 0)  # ~38k years per packet
         assert send_at == 0
-        assert pacing.next_free_at(slot) == (1 << 63) - 1
-        pacing.stamp(slot, 9000, 10)  # must not raise on the next store
+        assert pacing.next_free_ns(1) == (1 << 63) - 1
+        pacing.touch(1, 1e-9, 9000, 10)  # must not raise on the next store
 
     def test_pickle_roundtrip_keeps_column_bindings(self):
         pacing = PacingTable(shard_id=1)
-        slot = pacing.slot_for(3, RATE_BPS)
-        pacing.stamp(slot, 1500, 777)
+        pacing.touch(3, RATE_BPS, 1500, 777)
         clone = pickle.loads(pickle.dumps(pacing))
         assert clone.next_free_ns(3) == pacing.next_free_ns(3)
         # The unpickled cached refs must alias the table's arrays, not copies.
-        new_slot = clone.slot_for(8, RATE_BPS)
-        assert clone.stamp(new_slot, 1500, 5) == 5
+        assert clone.touch(8, RATE_BPS, 1500, 5) == 5
         assert clone.next_free_ns(8) > 5
 
     def test_as_dict_materialises_without_disturbing_state(self):
         pacing = PacingTable(shard_id=0)
-        slot = pacing.slot_for(1, RATE_BPS)
-        pacing.stamp(slot, 1500, 0)
+        pacing.touch(1, RATE_BPS, 1500, 0)
         before = pacing.next_free_ns(1)
         view = pacing.as_dict()
         assert set(view) == {1}

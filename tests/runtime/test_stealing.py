@@ -397,15 +397,25 @@ class TestStealDifferential:
 
     def test_stolen_run_spreads_residency(self):
         stolen = self._drive(steal=True)
-        shards = {
-            packet.metadata["shard"] for _now, packet in stolen.transmit_log
-        }
+        telemetry = stolen.telemetry()
         stolen_from = {
             packet.metadata.get("stolen_from")
             for _now, packet in stolen.transmit_log
         } - {None}
         assert stolen_from, "no packet records a steal"
-        assert len(shards) > 1
+        # Residency from per-shard telemetry: several shards transmitted,
+        # and the packets a thief spliced in left through its own drain.
+        transmitting = {shard.shard_id for shard in telemetry.shards if shard.transmitted}
+        thieves = {
+            shard.shard_id for shard in telemetry.shards if shard.steals.packets_stolen
+        }
+        assert len(transmitting) > 1
+        assert thieves and thieves <= transmitting
+        assert stolen_from <= transmitting
+        assert sum(shard.transmitted for shard in telemetry.shards) == self.NUM_PACKETS
+        assert telemetry.packets_stolen == sum(
+            1 for _now, packet in stolen.transmit_log if "stolen_from" in packet.metadata
+        )
 
 
 class TestStealTuner:
