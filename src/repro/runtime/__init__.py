@@ -44,11 +44,10 @@ instance per core, flows spread across instances by an RSS-style hash:
   one-clock behaviour bit-for-bit, while
   :class:`~repro.runtime.backend.ProcessBackend` runs one shard per OS
   process (the SPSC mailbox handoff crossing address spaces over the
-  shared-memory rings of :mod:`repro.runtime.shm`) and
-  :class:`~repro.runtime.backend.ThreadBackend` runs one shard per thread
-  — real wall-clock parallelism with modelled results identical to the
-  simulation (``benchmarks/bench_parallel.py`` puts the measured speedup
-  next to the modelled curve).
+  shared-memory rings of :mod:`repro.runtime.shm`) — real wall-clock
+  parallelism with modelled results identical to the simulation
+  (``benchmarks/bench_parallel.py`` puts the measured speedup next to the
+  modelled curve).
 * :class:`~repro.runtime.flowstate.FlowTable` /
   :class:`~repro.runtime.flowstate.PacingTable` — the million-flow state
   engine: sparse flow ids mapped to dense slots by open addressing, every
@@ -126,9 +125,7 @@ from .backend import (
     ShardClockDriver,
     ShardResult,
     SimulatedBackend,
-    ThreadBackend,
     WorkerSpec,
-    free_threaded,
 )
 from .faults import (
     FAULT_KINDS,
@@ -168,7 +165,6 @@ from .stealing import (
     StealChannelStats,
     StealRequest,
     StealStats,
-    StealTuner,
 )
 from .worker import ShardWorker, ShardWorkerStats
 
@@ -217,11 +213,8 @@ __all__ = [
     "StealChannelStats",
     "StealRequest",
     "StealStats",
-    "StealTuner",
     "TailDropPolicy",
-    "ThreadBackend",
     "WorkerSpec",
-    "free_threaded",
     "make_admission_factory",
     "rss_hash",
 ]

@@ -18,10 +18,6 @@ its workers through an :class:`ExecutionBackend`:
   virtual clock using :class:`ShardClockDriver`, so the modelled results are
   identical to the simulated run while the interpreter work — stamping,
   bitmap scans, batch drains — executes in parallel on real cores.
-* :class:`ThreadBackend` runs one thread per shard with a plain in-process
-  handoff.  Under the GIL it demonstrates the seam without speedup; on a
-  free-threaded CPython build (:func:`free_threaded` true) the same code
-  scales like the process backend without pickling or fork overhead.
 
 Why per-shard replay is exact
 -----------------------------
@@ -49,7 +45,6 @@ from __future__ import annotations
 import abc
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from collections import deque
@@ -69,36 +64,19 @@ from ..netsim.simulator import EventHandle, Simulator
 Burst = Tuple[int, List[Packet]]
 
 
-def free_threaded() -> bool:
-    """True on a CPython build running with the GIL disabled.
-
-    :class:`ThreadBackend` is correct either way; this is the gate for
-    expecting *speedup* from it (``sys._is_gil_enabled()`` exists on 3.13+
-    free-threading builds and returns False when threads truly run in
-    parallel).
-    """
-    import sys
-
-    probe = getattr(sys, "_is_gil_enabled", None)
-    return probe is not None and not probe()
-
-
 @dataclass
 class WorkerSpec:
     """Everything needed to rebuild one shard's scheduling loop elsewhere.
 
     ``worker_kwargs`` are the :class:`~repro.runtime.worker.ShardWorker`
-    constructor arguments; the remaining fields are the runtime's driving
-    knobs, mirrored so a child process reproduces the exact per-tick budget
-    arithmetic of :meth:`ShardedRuntime._tick`.
+    constructor arguments, per-tick budget included, so a child's
+    :meth:`~repro.runtime.worker.ShardWorker.tick` is the runtime's own;
+    the remaining fields are the driver's timer and transmit-log knobs.
     """
 
     shard_id: int
     worker_kwargs: Dict[str, Any]
     quantum_ns: int
-    batch_per_quantum: int
-    ingest_per_quantum: Optional[int]
-    shard_backlog_limit: Optional[int]
     record_transmits: bool = True
 
 
@@ -221,13 +199,7 @@ class ShardClockDriver:
         now = self.simulator.now_ns
         worker = self.worker
         spec = self.spec
-        ingest_limit = spec.ingest_per_quantum
-        if spec.shard_backlog_limit is not None:
-            room = max(0, spec.shard_backlog_limit - worker.backlog)
-            ingest_limit = room if ingest_limit is None else min(ingest_limit, room)
-        released = worker.tick(
-            now, ingest_limit=ingest_limit, drain_limit=spec.batch_per_quantum
-        )
+        released = worker.tick(now)
         if released:
             record = self.transmits.append if spec.record_transmits else None
             e2e = self._e2e
@@ -284,7 +256,7 @@ class ExecutionBackend(abc.ABC):
     fan it out to real cores at run time.
     """
 
-    #: True for backends that execute shards on real OS cores/threads.
+    #: True for backends that execute shards on real OS cores.
     parallel: bool = False
 
     def bind(self, runtime) -> None:
@@ -787,70 +759,23 @@ class ProcessBackend(ParallelBackend):
                 time.sleep(0.0002)
 
 
-class ThreadBackend(ParallelBackend):
-    """One thread per shard; the in-process variant of the parallel seam.
-
-    No rings and no pickling — each thread owns its schedule outright.
-    Under the GIL the threads time-slice (correctness demonstrated, no
-    speedup); on a free-threaded build (:func:`free_threaded`) the same
-    code parallelises.  ``gil_enabled`` records which world a run saw.
-    """
-
-    def __init__(self) -> None:
-        super().__init__()
-        self.gil_enabled = not free_threaded()
-
-    def _execute(
-        self, specs: List[WorkerSpec], schedules: List[List[Burst]]
-    ) -> List[ShardResult]:
-        results: List[Optional[ShardResult]] = [None] * len(specs)
-        failures: List[BaseException] = []
-
-        def run_shard(shard: int) -> None:
-            try:
-                driver = ShardClockDriver(specs[shard])
-                for when_ns, packets in schedules[shard]:
-                    driver.on_arrival(when_ns, packets)
-                results[shard] = driver.finish()
-            except BaseException as exc:  # re-raised on join
-                failures.append(exc)
-
-        threads = [
-            threading.Thread(
-                target=run_shard, args=(shard,), name=f"repro-shard-{shard}"
-            )
-            for shard in range(len(specs))
-        ]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join()
-        if failures:
-            raise failures[0]
-        return results  # type: ignore[return-value]
-
-
 def resolve_backend(
     backend: "str | ExecutionBackend", simulator: Optional[Simulator]
 ) -> ExecutionBackend:
     """Normalise a runtime's ``backend=`` argument into a backend instance.
 
-    Accepts ``"simulated"`` / ``"process"`` / ``"thread"`` or a ready
-    instance.  ``simulator`` only composes with the simulated backend — a
-    shared clock has no meaning for shards running on their own cores.
+    Accepts ``"simulated"`` / ``"process"`` or a ready instance.
+    ``simulator`` only composes with the simulated backend — a shared clock
+    has no meaning for shards running on their own cores.
     """
     if isinstance(backend, str):
         if backend == "simulated":
             return SimulatedBackend(simulator)
-        if backend == "process":
-            resolved: ExecutionBackend = ProcessBackend()
-        elif backend == "thread":
-            resolved = ThreadBackend()
-        else:
+        if backend != "process":
             raise ValueError(
-                f"unknown backend {backend!r}; "
-                "choose from 'simulated', 'process', 'thread'"
+                f"unknown backend {backend!r}; choose from 'simulated', 'process'"
             )
+        resolved: ExecutionBackend = ProcessBackend()
     elif isinstance(backend, ExecutionBackend):
         resolved = backend
     else:
@@ -868,8 +793,6 @@ __all__ = [
     "ShardClockDriver",
     "ShardResult",
     "SimulatedBackend",
-    "ThreadBackend",
     "WorkerSpec",
-    "free_threaded",
     "resolve_backend",
 ]

@@ -70,11 +70,14 @@ from .ingress import IngressCore, IngressTelemetry, make_admission_factory
 from .mailbox import MailboxStats
 from .observability import FlightRecorder, GaugeValue, LogHistogram, MetricsTimeline
 from .sharder import FlowSharder, ShardRebalancer
-from .stealing import FlowLease, StealChannel, StealRequest, StealStats, StealTuner
+from .stealing import FlowLease, StealChannel, StealRequest, StealStats
 from .worker import QueueFactory, ShardWorker, ShardWorkerStats
 from ..core.model.packet import Packet
 from ..core.queues import QueueStats
 from ..netsim.simulator import EventHandle, Simulator
+
+#: Bound on each shard's parked steal requests (the cross-core request ring).
+STEAL_CHANNEL_CAPACITY = 8
 
 
 @dataclass
@@ -248,28 +251,20 @@ class ShardedRuntime:
             mapping is safe).
         horizon_ns / num_buckets / queue_factory / mailbox_capacity: per
             shard worker configuration (see :class:`ShardWorker`).
-        rebalancer: optional skew-aware rebalancer; requires
-            ``rebalance_interval_ns``.  The sharder's load window is only
-            fed while one is configured.
-        rebalance_interval_ns: period of the rebalancing sweep; when set
-            without an explicit ``rebalancer`` a default one is built.
+        rebalance_interval_ns: period of the skew-aware rebalancing sweep
+            (``None`` disables rebalancing).  The sharder's load window is
+            only fed while a rebalancer is configured.
         steal_enabled: turn on cross-shard work stealing — an idle shard
             parks a steal request at the busiest sibling and takes over its
             next due window under an order-preserving flow lease.
-        steal_batch: largest number of packets one lease may carry.
-        steal_horizon_ns: how far ahead of "now" a window counts as
-            stealable (defaults to one quantum: the batch the victim would
-            have released at its very next tick).
+        steal_batch: largest number of packets one lease may carry.  A
+            lease takes the window due within one quantum (the batch the
+            victim would have released at its very next tick), and each
+            shard parks at most :data:`STEAL_CHANNEL_CAPACITY` requests
+            (overflow is dropped and counted, never blocked on).
         steal_min_backlog: smallest victim backlog worth stealing from —
             below this the handoff overhead outweighs the relief, and under
             balanced load it keeps shards from churning work back and forth.
-        steal_channel_capacity: bound on each shard's parked steal requests
-            (the bounded cross-core request ring; overflow is dropped and
-            counted, never blocked on).
-        steal_adaptive: derive the effective steal batch/horizon from an
-            EWMA of observed lease sizes (:class:`StealTuner`); the
-            configured ``steal_batch`` / ``steal_horizon_ns`` become
-            ceilings the tuner shrinks toward what victims actually grant.
         ingress_cores: number of asynchronous RX cores in front of the
             shards (0 keeps the historical synchronous ingress).  With
             ingress cores, :meth:`submit` / :meth:`submit_batch` land in a
@@ -292,11 +287,9 @@ class ShardedRuntime:
             defaults to the decorrelated constant
             :data:`~repro.runtime.sharder.INGRESS_HASH_SEED`.  The scenario
             compiler threads a spec-level seed through here so one seed pins
-            every random stream of an experiment.
-        mailbox_high_watermark / mailbox_low_watermark: backpressure
-            thresholds of every shard mailbox; default to ``capacity`` and
-            ``capacity // 2`` when ingress cores are configured with a
-            bounded ``mailbox_capacity``.
+            every random stream of an experiment.  With ingress cores and a
+            bounded ``mailbox_capacity``, every shard mailbox pauses the RX
+            pull at capacity and resumes at ``capacity // 2``.
         on_transmit: callback ``(packet, now_ns)`` run for every released
             packet (the NIC side).
         record_transmits: keep ``(now_ns, packet)`` in :attr:`transmit_log`
@@ -317,8 +310,7 @@ class ShardedRuntime:
         backend: who executes the shard loops — ``"simulated"`` (the
             default: every shard multiplexed onto one simulator clock,
             bit-identical to the historical behaviour), ``"process"`` (one
-            OS process per shard over shared-memory rings), ``"thread"``
-            (one thread per shard), or a ready
+            OS process per shard over shared-memory rings), or a ready
             :class:`~repro.runtime.backend.ExecutionBackend` instance.
             Parallel backends take timed workloads through
             :meth:`submit_at` and require the *statically decomposable*
@@ -385,14 +377,10 @@ class ShardedRuntime:
         num_buckets: int = 20_000,
         queue_factory: Optional[QueueFactory] = None,
         mailbox_capacity: Optional[int] = None,
-        rebalancer: Optional[ShardRebalancer] = None,
         rebalance_interval_ns: Optional[int] = None,
         steal_enabled: bool = False,
         steal_batch: int = 64,
-        steal_horizon_ns: Optional[int] = None,
         steal_min_backlog: int = 8,
-        steal_channel_capacity: int = 8,
-        steal_adaptive: bool = False,
         ingress_cores: int = 0,
         admission: "str | Callable[[], object] | None" = None,
         rx_ring_capacity: int = 512,
@@ -400,8 +388,6 @@ class ShardedRuntime:
         ingress_quantum_ns: Optional[int] = None,
         ingress_backpressure: bool = True,
         ingress_hash_seed: Optional[int] = None,
-        mailbox_high_watermark: Optional[int] = None,
-        mailbox_low_watermark: Optional[int] = None,
         ingest_per_quantum: Optional[int] = None,
         shard_backlog_limit: Optional[int] = None,
         on_transmit: Optional[Callable[[Packet, int], None]] = None,
@@ -420,20 +406,12 @@ class ShardedRuntime:
             raise ValueError("num_shards must be positive")
         if quantum_ns <= 0:
             raise ValueError("quantum_ns must be positive")
-        if batch_per_quantum <= 0:
-            raise ValueError("batch_per_quantum must be positive")
-        if rebalancer is not None and rebalance_interval_ns is None:
-            raise ValueError("rebalancer requires rebalance_interval_ns")
         if rebalance_interval_ns is not None and rebalance_interval_ns <= 0:
             raise ValueError("rebalance_interval_ns must be positive")
         if steal_batch <= 0:
             raise ValueError("steal_batch must be positive")
-        if steal_horizon_ns is not None and steal_horizon_ns < 0:
-            raise ValueError("steal_horizon_ns must be non-negative")
         if steal_min_backlog <= 0:
             raise ValueError("steal_min_backlog must be positive")
-        if steal_channel_capacity <= 0:
-            raise ValueError("steal_channel_capacity must be positive")
         if gc_interval_packets is not None and gc_interval_packets <= 0:
             raise ValueError("gc_interval_packets must be positive")
         if gc_sweep_limit is not None and gc_sweep_limit <= 0:
@@ -446,10 +424,6 @@ class ShardedRuntime:
             raise ValueError("rx_burst must be positive")
         if ingress_quantum_ns is not None and ingress_quantum_ns <= 0:
             raise ValueError("ingress_quantum_ns must be positive")
-        if ingest_per_quantum is not None and ingest_per_quantum <= 0:
-            raise ValueError("ingest_per_quantum must be positive")
-        if shard_backlog_limit is not None and shard_backlog_limit <= 0:
-            raise ValueError("shard_backlog_limit must be positive")
         if lease_deadline_ns is not None and lease_deadline_ns <= 0:
             raise ValueError("lease_deadline_ns must be positive")
         if supervise_interval_ns is not None and supervise_interval_ns <= 0:
@@ -471,7 +445,7 @@ class ShardedRuntime:
             conflicts = []
             if steal_enabled:
                 conflicts.append("steal_enabled")
-            if rebalancer is not None or rebalance_interval_ns is not None:
+            if rebalance_interval_ns is not None:
                 conflicts.append("rebalancing")
             if ingress_cores:
                 conflicts.append("ingress_cores")
@@ -509,26 +483,24 @@ class ShardedRuntime:
         if self.sharder.num_shards != num_shards:
             raise ValueError("sharder.num_shards must match num_shards")
         self.quantum_ns = quantum_ns
-        self.batch_per_quantum = batch_per_quantum
         self.rebalance_interval_ns = rebalance_interval_ns
-        if rebalance_interval_ns is not None and rebalancer is None:
-            rebalancer = ShardRebalancer(self.sharder)
-        self.rebalancer = rebalancer
+        self.rebalancer = (
+            ShardRebalancer(self.sharder) if rebalance_interval_ns is not None else None
+        )
         self.on_transmit = on_transmit
         self.record_transmits = record_transmits
-        if (
-            ingress_cores > 0
-            and mailbox_capacity is not None
-            and mailbox_high_watermark is None
-        ):
-            # Backpressure needs a pause edge before the mailbox can drop:
-            # default the watermarks so a bounded mailbox pauses the RX pull
-            # at capacity and resumes once half-drained.
-            mailbox_high_watermark = mailbox_capacity
-            mailbox_low_watermark = mailbox_capacity // 2
+        high_watermark = low_watermark = None
+        if ingress_cores > 0 and mailbox_capacity is not None:
+            # Backpressure needs a pause edge before the mailbox can drop: a
+            # bounded mailbox pauses the RX pull at capacity and resumes once
+            # half-drained — and only exerts backpressure if the shard's
+            # per-quantum stamping budget is bounded too.
+            high_watermark, low_watermark = mailbox_capacity, mailbox_capacity // 2
+            if ingest_per_quantum is None:
+                ingest_per_quantum = batch_per_quantum
         # One canonical kwargs dict builds every worker — the runtime's own
         # (below) and the identical replicas a parallel backend constructs
-        # in its shard processes/threads (see _worker_spec).
+        # in its shard processes (see _worker_spec).
         self._worker_config = dict(
             flow_rates=flow_rates,
             default_rate_bps=default_rate_bps,
@@ -536,34 +508,26 @@ class ShardedRuntime:
             num_buckets=num_buckets,
             queue_factory=queue_factory,
             mailbox_capacity=mailbox_capacity,
-            mailbox_high_watermark=mailbox_high_watermark,
-            mailbox_low_watermark=mailbox_low_watermark,
+            mailbox_high_watermark=high_watermark,
+            mailbox_low_watermark=low_watermark,
             latency_histograms=latency_histograms,
+            batch_per_quantum=batch_per_quantum,
+            ingest_per_quantum=ingest_per_quantum,
+            shard_backlog_limit=shard_backlog_limit,
         )
         self.workers: List[ShardWorker] = [
             ShardWorker(shard_id, **self._worker_config)
             for shard_id in range(num_shards)
         ]
-        if ingest_per_quantum is None and ingress_cores > 0 and mailbox_capacity is not None:
-            # A bounded mailbox only exerts backpressure if the shard's
-            # per-quantum stamping budget is bounded too.
-            ingest_per_quantum = batch_per_quantum
-        self.ingest_per_quantum = ingest_per_quantum
-        self.shard_backlog_limit = shard_backlog_limit
         self.transmit_log: List[tuple[int, Packet]] = []
         self.ingress_drops = 0
         self.migrations_applied = 0
         self.gc_interval_packets = gc_interval_packets
         self.steal_enabled = steal_enabled
         self.steal_batch = steal_batch
-        self.steal_horizon_ns = quantum_ns if steal_horizon_ns is None else steal_horizon_ns
         self.steal_min_backlog = steal_min_backlog
-        self.steal_adaptive = steal_adaptive
-        self._steal_tuner: Optional[StealTuner] = (
-            StealTuner(self.steal_batch, self.steal_horizon_ns) if steal_adaptive else None
-        )
         self._steal_channels: List[StealChannel] = [
-            StealChannel(capacity=steal_channel_capacity) for _ in range(num_shards)
+            StealChannel(capacity=STEAL_CHANNEL_CAPACITY) for _ in range(num_shards)
         ]
         self._loan_inbox: List[List[FlowLease]] = [[] for _ in range(num_shards)]
         self._open_leases: Dict[int, list] = {}
@@ -647,9 +611,6 @@ class ShardedRuntime:
             shard_id=shard,
             worker_kwargs=dict(self._worker_config),
             quantum_ns=self.quantum_ns,
-            batch_per_quantum=self.batch_per_quantum,
-            ingest_per_quantum=self.ingest_per_quantum,
-            shard_backlog_limit=self.shard_backlog_limit,
             record_transmits=self.record_transmits,
         )
 
@@ -720,57 +681,22 @@ class ShardedRuntime:
     def submit(self, packet: Packet) -> bool:
         """Offer one packet to the runtime; False when it was dropped.
 
-        With ingress cores the packet lands in its flow's RX ring (drops are
-        then the admission policy's verdict); otherwise it goes straight to
-        its shard's mailbox, as before the ingress layer existed.
-
-        On a parallel backend this buffers the packet for time 0 of the run
-        (see :meth:`submit_at`) and optimistically reports acceptance —
-        drops are settled inside the shard processes and surface in
-        :attr:`ingress_drops` after :meth:`run`.
+        A one-packet :meth:`submit_batch`: with ingress cores the packet
+        lands in its flow's RX ring (drops are then the admission policy's
+        verdict); otherwise it goes straight to its shard's mailbox.  On a
+        parallel backend acceptance is optimistic (see :meth:`submit_batch`).
         """
-        if self.backend.parallel:
-            self.backend.submit_at(0, [packet])
-            return True
-        if self.timeline is not None:
-            self._arm_timeline()
-        if self.ingress_cores:
-            return self._offer_ingress([packet]) == 1
-        self._routes.clear()
-        shard = self._route(packet.flow_id)
-        if self._faults is not None and self._faults.take_handoff_drops(shard, 1):
-            # The handoff seam ate the packet before anything committed:
-            # no route, no pending count — only the fault ledger sees it.
-            self.fault_stats.handoff_drops += 1
-            if self.tracer is not None:
-                self.tracer.emit(
-                    self.simulator.now_ns,
-                    f"shard-{shard}",
-                    "fault_inject",
-                    {"kind": "handoff_drop", "count": 1},
-                )
-            return False
-        if self.latency_histograms:
-            now = self.simulator.now_ns
-            packet.metadata["e2e_ns"] = now
-            packet.metadata["mbox_ns"] = now
-        if not self.workers[shard].mailbox.push(packet):
-            self.ingress_drops += 1
-            return False
-        self._commit(shard, [packet])
-        self._wake_shard(shard)
-        self._wake_idle_thieves(shard)
-        self._arm_rebalance()
-        return True
+        return self.submit_batch([packet]) == 1
 
     def submit_batch(self, packets: List[Packet]) -> int:
         """Offer a burst; each flow is routed once, pushes are batched per shard.
 
         Each flow is resolved once on the state from before the burst, and
-        the commit of each shard's accepted prefix reuses its slot per
-        flow-run.  Returns the number of packets accepted.  On a parallel
-        backend the burst is buffered for time 0 of the run and the count
-        is optimistic (see :meth:`submit`).
+        each shard's group crosses the one handoff seam (:meth:`_handoff`).
+        Returns the number of packets accepted.  On a parallel backend the
+        burst is buffered for time 0 of the run (see :meth:`submit_at`) and
+        the count is optimistic — drops are settled inside the shard
+        processes and surface in :attr:`ingress_drops` after :meth:`run`.
         """
         if self.backend.parallel:
             self.backend.submit_at(0, packets)
@@ -783,7 +709,6 @@ class ShardedRuntime:
             now = self.simulator.now_ns
             for packet in packets:
                 packet.metadata["e2e_ns"] = now
-                packet.metadata["mbox_ns"] = now
         by_shard: Dict[int, List[Packet]] = {}
         get_group = by_shard.get
         self._routes.clear()
@@ -795,37 +720,8 @@ class ShardedRuntime:
                 by_shard[shard] = [packet]
             else:
                 group.append(packet)
-        accepted = 0
-        faults = self._faults
-        for shard, group in by_shard.items():
-            if faults is not None:
-                dropped = faults.take_handoff_drops(shard, len(group))
-                if dropped:
-                    self.fault_stats.handoff_drops += dropped
-                    if self.tracer is not None:
-                        self.tracer.emit(
-                            self.simulator.now_ns,
-                            f"shard-{shard}",
-                            "fault_inject",
-                            {"kind": "handoff_drop", "count": dropped},
-                        )
-                    group = group[dropped:]
-                    if not group:
-                        continue
-            mailbox = self.workers[shard].mailbox
-            before = len(mailbox)
-            taken = mailbox.push_batch(group)
-            accepted += taken
-            self.ingress_drops += len(group) - taken
-            # Tail drop keeps the accepted prefix, so pending counts follow
-            # the prefix of each flow's packets within this shard's group.
-            self._commit(shard, group[:taken])
-            if taken or before:
-                self._wake_shard(shard)
-                self._wake_idle_thieves(shard)
-        if accepted:
-            self._arm_rebalance()
-        return accepted
+        handoff = self._handoff
+        return sum(handoff(shard, group) for shard, group in by_shard.items())
 
     def submit_at(self, when_ns: int, packets: List[Packet]) -> None:
         """Arrange for a burst to arrive at absolute time ``when_ns``.
@@ -840,6 +736,55 @@ class ShardedRuntime:
         identically on either backend.
         """
         self.backend.submit_at(when_ns, packets)
+
+    def _handoff(self, shard: int, packets: List[Packet]) -> int:
+        """Land one per-shard group, routed this burst or pull, in its mailbox.
+
+        The one seam between routing and a shard: the handoff-drop fault,
+        the mailbox-wait stamp, the batched push with tail-drop accounting,
+        the commit of the accepted prefix, and the wakes.  Returns the
+        number of packets the mailbox accepted.
+        """
+        if self._faults is not None:
+            dropped = self._faults.take_handoff_drops(shard, len(packets))
+            if dropped:
+                # The seam ate these before anything committed: no route,
+                # no pending count — only the fault ledger sees them.
+                self.fault_stats.handoff_drops += dropped
+                if self.tracer is not None:
+                    self.tracer.emit(
+                        self.simulator.now_ns,
+                        f"shard-{shard}",
+                        "fault_inject",
+                        {"kind": "handoff_drop", "count": dropped},
+                    )
+                packets = packets[dropped:]
+                if not packets:
+                    return 0
+        mailbox = self._mailboxes[shard]
+        before = len(mailbox)
+        if self.latency_histograms:
+            now = self.simulator.now_ns
+            for packet in packets:
+                packet.metadata["mbox_ns"] = now
+        taken = mailbox.push_batch(packets)
+        self.ingress_drops += len(packets) - taken
+        if self.tracer is not None:
+            self.tracer.emit(
+                self.simulator.now_ns,
+                f"shard-{shard}",
+                "mailbox_handoff",
+                {"offered": len(packets), "accepted": taken},
+            )
+        # Tail drop keeps the accepted prefix, so pending counts follow the
+        # prefix of each flow's packets within this group.
+        self._commit(shard, packets[:taken])
+        if taken or before:
+            self._wake_shard(shard)
+            self._wake_idle_thieves(shard)
+        if taken:
+            self._arm_rebalance()
+        return taken
 
     # -- the asynchronous ingress layer ------------------------------------
 
@@ -932,7 +877,7 @@ class ShardedRuntime:
         if self._wedged and lane in self._wedged:
             return
         self._routes.clear()
-        delivered = core.pull(now, self._route, self._mailboxes, self._ingress_deliver)
+        delivered = core.pull(now, self._route, self._mailboxes, self._handoff)
         if self.tracer is not None:
             self.tracer.emit(
                 now,
@@ -951,45 +896,6 @@ class ShardedRuntime:
         self._ingress_handles[lane] = self.simulator.schedule_at(
             next_ns, lambda lane=lane: self._ingress_tick(lane)
         )
-
-    def _ingress_deliver(self, shard: int, packets: List[Packet]) -> int:
-        """Land one per-shard group, routed this pull, in its mailbox."""
-        if self._faults is not None:
-            dropped = self._faults.take_handoff_drops(shard, len(packets))
-            if dropped:
-                self.fault_stats.handoff_drops += dropped
-                if self.tracer is not None:
-                    self.tracer.emit(
-                        self.simulator.now_ns,
-                        f"shard-{shard}",
-                        "fault_inject",
-                        {"kind": "handoff_drop", "count": dropped},
-                    )
-                packets = packets[dropped:]
-                if not packets:
-                    return 0
-        mailbox = self._mailboxes[shard]
-        before = len(mailbox)
-        if self.latency_histograms:
-            now = self.simulator.now_ns
-            for packet in packets:
-                packet.metadata["mbox_ns"] = now
-        taken = mailbox.push_batch(packets)
-        self.ingress_drops += len(packets) - taken
-        if self.tracer is not None:
-            self.tracer.emit(
-                self.simulator.now_ns,
-                f"shard-{shard}",
-                "mailbox_handoff",
-                {"offered": len(packets), "accepted": taken},
-            )
-        self._commit(shard, packets[:taken])
-        if taken or before:
-            self._wake_shard(shard)
-            self._wake_idle_thieves(shard)
-        if taken:
-            self._arm_rebalance()
-        return taken
 
     # -- shard scheduling --------------------------------------------------
 
@@ -1051,13 +957,7 @@ class ShardedRuntime:
             self._loan_inbox[shard] = []
             for lease in inbox:
                 worker.accept_lease(lease, now)
-        ingest_limit = self.ingest_per_quantum
-        if self.shard_backlog_limit is not None:
-            room = max(0, self.shard_backlog_limit - worker.backlog)
-            ingest_limit = room if ingest_limit is None else min(ingest_limit, room)
-        released = worker.tick(
-            now, ingest_limit=ingest_limit, drain_limit=self.batch_per_quantum
-        )
+        released = worker.tick(now)
         if self.tracer is not None:
             self.tracer.emit(
                 now,
@@ -1134,8 +1034,9 @@ class ShardedRuntime:
         """
         worker = self.workers[shard]
         channel = self._steal_channels[shard]
-        steal_batch, steal_horizon_ns = self._steal_params()
-        cutoff = now + steal_horizon_ns
+        # A lease takes the window due within one quantum: the batch the
+        # victim would have released at its very next tick.
+        cutoff = now + self.quantum_ns
         while len(channel):
             if worker.flows_on_loan or worker.leases_held or not worker.has_work_by(cutoff):
                 break  # one lease out at a time / holding stolen work / nothing stealable
@@ -1163,8 +1064,8 @@ class ShardedRuntime:
                 thief_worker.steal.requests_stale += 1
                 continue
             lease = worker.grant_lease(
-                next(self._lease_seq), request.thief_shard, now, steal_batch,
-                steal_horizon_ns,
+                next(self._lease_seq), request.thief_shard, now, self.steal_batch,
+                self.quantum_ns,
             )
             if lease is None:
                 # The donor refused despite the loop-top checks (kept
@@ -1172,8 +1073,6 @@ class ShardedRuntime:
                 # braces): leave the request parked for a later tick.
                 break
             channel.pop()
-            if self._steal_tuner is not None:
-                self._steal_tuner.observe(len(lease.packets))
             for flow_id in lease.flow_ids:
                 self.sharder.lend(flow_id, shard)
             self._open_leases[lease.lease_id] = [lease, len(lease.packets)]
@@ -1193,17 +1092,6 @@ class ShardedRuntime:
             self._wake_shard(request.thief_shard)
             if self.lease_deadline_ns is not None:
                 self._arm_supervision()
-
-    def _steal_params(self) -> tuple[int, int]:
-        """Effective ``(steal_batch, steal_horizon_ns)`` for the next grant.
-
-        The adaptive tuner (``steal_adaptive=True``) shrinks both knobs
-        toward the EWMA of observed lease sizes; otherwise the configured
-        values apply unchanged.
-        """
-        if self._steal_tuner is not None:
-            return self._steal_tuner.batch, self._steal_tuner.horizon_ns
-        return self.steal_batch, self.steal_horizon_ns
 
     def _maybe_request_steal(self, shard: int, now: int) -> None:
         """Thief role: when empty, park a steal request at the busiest sibling.
@@ -1363,7 +1251,7 @@ class ShardedRuntime:
     # -- rebalancing -------------------------------------------------------
 
     def _arm_rebalance(self) -> None:
-        if self.rebalancer is None or self.rebalance_interval_ns is None:
+        if self.rebalancer is None:
             return
         if self._rebalance_handle is not None and self._rebalance_handle.active:
             return

@@ -83,6 +83,12 @@ class ShardWorker:
             thresholds handed to the mailbox (see
             :meth:`Mailbox.configure_watermarks`); the ingress cores pause
             their RX pull while the mailbox sits inside the hysteresis band.
+        batch_per_quantum: drain budget of one :meth:`tick`.
+        ingest_per_quantum: cap on packets one :meth:`tick` stamps
+            (``None`` drains the whole mailbox).
+        shard_backlog_limit: the queue's ``txqueuelen``: while the queue
+            holds this many packets :meth:`tick` ingests nothing, leaving
+            arrivals in the mailbox (``None`` leaves the queue unbounded).
         latency_histograms: arm the per-shard latency seams — a
             :class:`~repro.runtime.observability.LogHistogram` each for
             mailbox wait (push → ingest) and shard-queue sojourn
@@ -110,6 +116,9 @@ class ShardWorker:
         "_leases_held",
         "mailbox_wait",
         "queue_wait",
+        "batch_per_quantum",
+        "ingest_per_quantum",
+        "shard_backlog_limit",
     )
 
     def __init__(
@@ -124,9 +133,18 @@ class ShardWorker:
         mailbox_high_watermark: Optional[int] = None,
         mailbox_low_watermark: Optional[int] = None,
         latency_histograms: bool = False,
+        batch_per_quantum: int = 64,
+        ingest_per_quantum: Optional[int] = None,
+        shard_backlog_limit: Optional[int] = None,
     ) -> None:
         if horizon_ns <= 0 or num_buckets <= 0:
             raise ValueError("horizon_ns and num_buckets must be positive")
+        if batch_per_quantum <= 0:
+            raise ValueError("batch_per_quantum must be positive")
+        if ingest_per_quantum is not None and ingest_per_quantum <= 0:
+            raise ValueError("ingest_per_quantum must be positive")
+        if shard_backlog_limit is not None and shard_backlog_limit <= 0:
+            raise ValueError("shard_backlog_limit must be positive")
         self.shard_id = shard_id
         self.flow_rates = dict(flow_rates or {})
         self.default_rate_bps = default_rate_bps
@@ -163,6 +181,9 @@ class ShardWorker:
         self.queue_wait: Optional[LogHistogram] = (
             LogHistogram() if latency_histograms else None
         )
+        self.batch_per_quantum = batch_per_quantum
+        self.ingest_per_quantum = ingest_per_quantum
+        self.shard_backlog_limit = shard_backlog_limit
 
     # -- configuration -----------------------------------------------------
 
@@ -316,9 +337,12 @@ class ShardWorker:
         self.stats.transmitted += len(released)
         return released
 
-    def tick(self, now_ns: int, ingest_limit: Optional[int], drain_limit: Optional[int]) -> List[Packet]:
+    def tick(self, now_ns: int) -> List[Packet]:
         """One scheduling quantum: batched ingest then batched drain.
 
+        The quantum's budget is the worker's own: at most
+        ``ingest_per_quantum`` packets stamped, none while the queue sits at
+        ``shard_backlog_limit``, at most ``batch_per_quantum`` released.
         Charges the fixed per-invocation cost a real worker loop pays
         (module call, prefetch, loop setup) on top of the per-packet work,
         and settles the queue's operation counters once for the whole
@@ -327,12 +351,16 @@ class ShardWorker:
         """
         self.stats.ticks += 1
         self.cost.charge("batch_overhead")
+        ingest_limit = self.ingest_per_quantum
+        if self.shard_backlog_limit is not None:
+            room = max(0, self.shard_backlog_limit - self._backlog)
+            ingest_limit = room if ingest_limit is None else min(ingest_limit, room)
         mailbox_before = len(self.mailbox)
         ingested = self.ingest(now_ns, ingest_limit)
         # Deferring on-loan arrivals consumes mailbox items without an
         # enqueue; that is still work, not an idle tick.
         consumed = ingested or len(self.mailbox) != mailbox_before
-        released = self.drain_due(now_ns, drain_limit)
+        released = self.drain_due(now_ns, self.batch_per_quantum)
         self._charge_queue_delta()
         if not consumed and not released:
             self.stats.idle_ticks += 1
@@ -445,22 +473,22 @@ class ShardWorker:
         bottleneck shard.
         """
         self._charge_queue_delta()  # settle this shard's own work first
-        before = self.cost.total_cycles
+        cycles_before = self.cost.total_cycles
         self.cost.charge("lock")  # cross-core handoff on the acceptor side
         self.cost.charge_queue_stats(lease.queue_delta.as_dict())
         for _send_at, packet in lease.packets:
             packet.metadata["stolen_from"] = lease.victim_shard
             packet.metadata["lease_id"] = lease.lease_id
-        before = len(self.queue)
+        queued_before = len(self.queue)
         try:
             self.queue.enqueue_batch(lease.packets)
         finally:
-            self._backlog += len(self.queue) - before
+            self._backlog += len(self.queue) - queued_before
         if self._backlog > self.stats.backlog_peak:
             self.stats.backlog_peak = self._backlog
         self._charge_queue_delta()
         self._leases_held += 1
-        self.steal.cycles_stolen += self.cost.total_cycles - before
+        self.steal.cycles_stolen += self.cost.total_cycles - cycles_before
         self.steal.leases_received += 1
         self.steal.packets_stolen += len(lease.packets)
         return len(lease.packets)

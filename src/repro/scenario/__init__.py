@@ -64,8 +64,8 @@ hash) via :func:`derive_seed`.
     ``sharding`` ("hash" | "round_robin"), ``stealing`` (false),
     ``steal_batch`` (64), ``steal_min_backlog`` (8),
     ``rebalance_interval_ns`` ("none"), ``gc_interval_packets`` (4096),
-    ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process" |
-    "thread"; parallel backends reject stealing / rebalancing / ingress
+    ``gc_sweep_limit`` ("none"), ``backend`` ("simulated" | "process";
+    the process backend rejects stealing / rebalancing / ingress
     cores at validation time).
 
 ``[faults]``

@@ -40,7 +40,7 @@ QUEUE_NAMES = ("circular_ffs", "hierarchical_ffs", "gradient", "approx_gradient"
 ADMISSION_NAMES = ("none", "tail_drop", "fair_drop", "codel")
 
 #: Execution backends of the sharded runtime.
-BACKEND_NAMES = ("simulated", "process", "thread")
+BACKEND_NAMES = ("simulated", "process")
 
 #: Flow placement policies of the sharder.
 SHARDING_NAMES = ("hash", "round_robin")
@@ -470,7 +470,7 @@ def _validate_runtime(spec: ScenarioSpec) -> None:
 
     # Parallel backends need statically decomposable shards: every knob that
     # coordinates across shards at runtime is rejected with its own field.
-    if spec.runtime.backend in ("process", "thread"):
+    if spec.runtime.backend == "process":
         backend = spec.runtime.backend
         if spec.runtime.stealing:
             raise BackendIncompatibleError(

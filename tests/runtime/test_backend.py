@@ -1,7 +1,7 @@
 """Unit tests for the execution-backend layer.
 
 Covers the shared-memory SPSC ring transport, backend resolution and the
-parallel-configuration guards, the process/thread backends' end-to-end
+parallel-configuration guards, the process backend's end-to-end
 behaviour (conservation, telemetry merge, child failure propagation, clean
 teardown under interruption), and the mailbox watermark edge-settlement
 contract the backends rely on.  The simulated-vs-parallel equivalence
@@ -24,8 +24,6 @@ from repro.runtime import (
     ProcessBackend,
     ShardedRuntime,
     SimulatedBackend,
-    ThreadBackend,
-    free_threaded,
 )
 from repro.runtime.backend import resolve_backend
 from repro.runtime.shm import RING_EMPTY, ShmFrameCorrupt, ShmRing
@@ -186,7 +184,7 @@ class TestBackendResolution:
             resolve_backend(42, None)
 
     def test_instance_passes_through(self):
-        backend = ThreadBackend()
+        backend = ProcessBackend()
         runtime = ShardedRuntime(1, backend=backend)
         assert runtime.backend is backend
 
@@ -215,27 +213,27 @@ class TestParallelConfigGuards:
     )
     def test_non_decomposable_features_rejected(self, kwargs, conflict):
         with pytest.raises(ValueError, match=conflict):
-            ShardedRuntime(2, backend="thread", **kwargs)
+            ShardedRuntime(2, backend="process", **kwargs)
 
     def test_global_gc_auto_disabled(self):
-        runtime = ShardedRuntime(2, backend="thread", gc_interval_packets=4096)
+        runtime = ShardedRuntime(2, backend="process", gc_interval_packets=4096)
         assert runtime.gc_interval_packets is None
         # ...and stays configurable on the simulated backend.
         assert ShardedRuntime(2, gc_interval_packets=4096).gc_interval_packets == 4096
 
     def test_submit_at_rejects_negative_time(self):
-        runtime = ShardedRuntime(1, backend="thread")
+        runtime = ShardedRuntime(1, backend="process")
         with pytest.raises(ValueError, match="non-negative"):
             runtime.submit_at(-1, _packets([1]))
 
     def test_until_ns_rejected_on_parallel_run(self):
-        runtime = ShardedRuntime(1, backend="thread", default_rate_bps=RATE_BPS)
+        runtime = ShardedRuntime(1, backend="process", default_rate_bps=RATE_BPS)
         runtime.submit_batch(_packets([1]))
         with pytest.raises(ValueError, match="to completion"):
             runtime.run(until_ns=1_000_000)
 
     def test_one_schedule_per_runtime(self):
-        runtime = ShardedRuntime(1, backend="thread", default_rate_bps=RATE_BPS)
+        runtime = ShardedRuntime(1, backend="process", default_rate_bps=RATE_BPS)
         runtime.submit_batch(_packets([1, 2]))
         assert runtime.pending == 2
         first = runtime.run()
@@ -351,37 +349,6 @@ class TestProcessBackend:
         assert runtime.transmitted == 4
 
 
-class TestThreadBackend:
-    def test_conservation_and_gil_flag(self):
-        backend = ThreadBackend()
-        assert backend.gil_enabled == (not free_threaded())
-        runtime = ShardedRuntime(
-            3,
-            default_rate_bps=RATE_BPS,
-            quantum_ns=QUANTUM_NS,
-            backend=backend,
-        )
-        runtime.submit_batch(_packets([flow % 9 for flow in range(180)]))
-        runtime.run()
-        assert runtime.transmitted == 180
-        telemetry = runtime.telemetry()
-        assert sum(shard.transmitted for shard in telemetry.shards) == 180
-
-    def test_thread_failure_propagates(self):
-        def factory(spec):
-            raise ZeroDivisionError("injected thread failure")
-
-        # Workers are built lazily per thread from the spec; the parent's own
-        # eager construction must be bypassed by building the runtime first.
-        runtime = ShardedRuntime(
-            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="thread"
-        )
-        runtime._worker_config["queue_factory"] = factory
-        runtime.submit_batch(_packets([1]))
-        with pytest.raises(ZeroDivisionError):
-            runtime.run()
-
-
 class TestMailboxEdgeSettlement:
     """Watermark callbacks fire only after the operation fully settled."""
 
@@ -446,7 +413,7 @@ class TestMailboxEdgeSettlement:
 class TestStatsPickleRoundTrip:
     def test_shard_result_round_trips(self):
         runtime = ShardedRuntime(
-            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="thread"
+            1, default_rate_bps=RATE_BPS, quantum_ns=QUANTUM_NS, backend="process"
         )
         runtime.submit_batch(_packets([1, 2, 3, 1, 2]))
         runtime.run()

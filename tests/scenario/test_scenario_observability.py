@@ -102,12 +102,11 @@ class TestValidation:
     def test_bounds_must_be_positive(self, observability, field_name):
         _reject(_spec(observability=observability), MalformedSpecError, field_name)
 
-    @pytest.mark.parametrize("backend", ["thread", "process"])
     @pytest.mark.parametrize("knob", ["tracer", "timeline"])
-    def test_tracer_and_timeline_need_the_shared_clock(self, backend, knob):
+    def test_tracer_and_timeline_need_the_shared_clock(self, knob):
         _reject(
             _spec(
-                runtime=RuntimeSpec(shards=2, backend=backend),
+                runtime=RuntimeSpec(shards=2, backend="process"),
                 observability=ObservabilitySpec(**{knob: True}),
             ),
             BackendIncompatibleError,
@@ -116,7 +115,7 @@ class TestValidation:
 
     def test_histograms_are_allowed_on_parallel_backends(self):
         spec = _spec(
-            runtime=RuntimeSpec(shards=2, backend="thread"),
+            runtime=RuntimeSpec(shards=2, backend="process"),
             observability=ObservabilitySpec(latency_histograms=True),
         )
         assert validate(spec) is spec

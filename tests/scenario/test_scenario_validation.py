@@ -184,7 +184,6 @@ def test_fabric_load_above_one_is_oversubscribed():
 # -- parallel-backend incompatibilities ---------------------------------------
 
 
-@pytest.mark.parametrize("backend", ["process", "thread"])
 @pytest.mark.parametrize(
     "runtime, ingress, field_name",
     [
@@ -194,10 +193,9 @@ def test_fabric_load_above_one_is_oversubscribed():
         (dict(), dict(cores=2), "ingress.cores"),
     ],
 )
-def test_parallel_backends_reject_cross_shard_knobs(backend, runtime, ingress,
-                                                    field_name):
+def test_parallel_backends_reject_cross_shard_knobs(runtime, ingress, field_name):
     spec = _runtime_spec(
-        runtime=RuntimeSpec(shards=2, backend=backend, **runtime),
+        runtime=RuntimeSpec(shards=2, backend="process", **runtime),
         ingress=IngressSpec(**ingress),
     )
     _reject(spec, BackendIncompatibleError, field_name)
