@@ -11,9 +11,13 @@ from typing import Any, Deque, Dict, Iterator, Optional
 _packet_ids = itertools.count()
 
 
-@dataclass
+@dataclass(slots=True)
 class Packet:
     """A packet as seen by the scheduler.
+
+    Slotted, so a packet carries no per-instance ``__dict__`` (packets are
+    the runtime's most numerous objects); free-form annotations go in
+    ``metadata``.
 
     Attributes:
         flow_id: identifier of the flow/class the packet belongs to.

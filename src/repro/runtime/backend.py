@@ -350,11 +350,12 @@ class ParallelBackend(ExecutionBackend):
         bursts = sorted(self._bursts, key=lambda burst: burst[0])  # stable
         self._bursts = []
         schedules: List[List[Burst]] = [[] for _ in range(runtime.num_shards)]
-        shard_for = runtime.sharder.shard_for
+        place_batch = runtime.sharder.place_batch
         for when_ns, packets in bursts:
             groups: Dict[int, List[Packet]] = {}
-            for packet in packets:
-                groups.setdefault(shard_for(packet.flow_id), []).append(packet)
+            shards = place_batch([packet.flow_id for packet in packets])
+            for packet, shard in zip(packets, shards):
+                groups.setdefault(shard, []).append(packet)
             for shard, group in groups.items():
                 schedules[shard].append((when_ns, group))
         specs = [runtime._worker_spec(shard) for shard in range(runtime.num_shards)]

@@ -32,6 +32,26 @@ fq_flow`` in preallocated arenas rather than boxed allocations:
 * :class:`FlowStateStats` — the engine's counters, in the same pickled
   counter-dataclass family every other subsystem reports through.
 
+The datapath calls this module once per *batch*, not once per packet — the
+way Eiffel's qdisc and BESS modules process whole batches, leaving only the
+integer-queue operation per packet:
+
+* :meth:`FlowTable.lookup_batch` / :meth:`FlowTable.ensure_batch` — the
+  slots of a list of flow ids (inserting the absent ones, in list order,
+  for ``ensure_batch``): the runtime's router probes a burst with one
+  call, its commit inserts a shard group's new flows with one, and its
+  delivery settles a released batch with one;
+* :meth:`PacingTable.stamp_batch` — ``(send_at, packet)`` for a shard's
+  whole ingest, probing once per run of one flow's packets.
+
+Each reads the index, key and columns once per call.  The single-packet
+calls (:meth:`FlowTable.lookup` / :meth:`FlowTable.ensure` /
+:meth:`FlowTable.remove`, :meth:`PacingTable.touch`) stay as the API for
+everything off the datapath and as the reference the batch calls are
+tested against, stamp for stamp and slot for slot.  The index format
+(cells, mask, shift, tombstones) is private to this module: callers only
+ever see slots and columns.
+
 The whole point is that nothing *semantic* changes: stamps, modelled cycle
 charges, lease handoffs and GC verdicts are identical to the dict-of-objects
 implementation (the committed ``BENCH_hotpath.json`` / ``BENCH_sharding.json``
@@ -49,8 +69,9 @@ from __future__ import annotations
 import sys
 from array import array
 from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Tuple
+from typing import Dict, Iterable, Iterator, List, Mapping, Optional, Tuple
 
+from ..core.model.packet import Packet
 from ..core.model.transactions import RateLimit, ShapingTransaction
 from ..core.queues.base import CounterStatsMixin
 
@@ -112,10 +133,10 @@ class FlowTable:
 
     Columns are registered up front with :meth:`add_column`, which returns
     the backing array; callers keep that reference and index it directly
-    with the slots :meth:`ensure` / :meth:`lookup` hand out (one probe per
-    packet, then plain array reads/writes — the dense-column discipline of
-    the PR 4 hot-path work).  ``array`` grows in place under ``extend``, so
-    cached references never go stale.
+    with the slots :meth:`ensure` / :meth:`lookup` and their batch forms
+    hand out (one probe per flow, then plain array reads/writes — the
+    dense-column discipline of the PR 4 hot-path work).  ``array`` grows
+    in place under ``extend``, so cached references never go stale.
 
     Flow ids must be non-negative (``key[slot] == -1`` marks a free slot);
     this is the invariant every packet source in the repo already upholds.
@@ -202,6 +223,73 @@ class FlowTable:
                 return slot
             cell = (cell + 1) & mask
 
+    def lookup_batch(self, flow_ids: Iterable[int]) -> List[int]:
+        """``[lookup(f) for f in flow_ids]`` in one call.
+
+        The index, key and probe constants are read once per call and a run
+        of one flow's ids probes once, so a released or routed batch costs
+        one Python call instead of one per packet.
+        """
+        index = self._index
+        mask = self._mask
+        shift = self._shift
+        key = self.key
+        slots: List[int] = []
+        append = slots.append
+        last_flow = None
+        slot = -1
+        for flow_id in flow_ids:
+            if flow_id != last_flow:
+                last_flow = flow_id
+                cell = ((flow_id * _FIB) & _MASK64) >> shift
+                while True:
+                    slot = index[cell]
+                    if slot == _EMPTY:
+                        slot = -1
+                        break
+                    if slot != _TOMB and key[slot] == flow_id:
+                        break
+                    cell = (cell + 1) & mask
+            append(slot)
+        return slots
+
+    def ensure_batch(self, flow_ids: Iterable[int]) -> List[int]:
+        """``[ensure(f) for f in flow_ids]`` in one call.
+
+        Inserts absent flows in list order (so slots are granted exactly as
+        sequential :meth:`ensure` calls would grant them); :attr:`created`
+        is left untouched.
+        """
+        index = self._index
+        mask = self._mask
+        shift = self._shift
+        key = self.key
+        slots: List[int] = []
+        append = slots.append
+        last_flow = None
+        slot = -1
+        for flow_id in flow_ids:
+            if flow_id != last_flow:
+                last_flow = flow_id
+                cell = ((flow_id * _FIB) & _MASK64) >> shift
+                reuse = -1
+                while True:
+                    slot = index[cell]
+                    if slot == _EMPTY:
+                        slot = self._insert(flow_id, cell, reuse)
+                        index = self._index
+                        mask = self._mask
+                        shift = self._shift
+                        break
+                    if slot == _TOMB:
+                        if reuse < 0:
+                            reuse = cell
+                    elif key[slot] == flow_id:
+                        break
+                    cell = (cell + 1) & mask
+            append(slot)
+        return slots
+
     def ensure(self, flow_id: int) -> int:
         """Slot of ``flow_id``, inserting a fresh one when absent.
 
@@ -225,15 +313,7 @@ class FlowTable:
                 self.created = False
                 return slot
             cell = (cell + 1) & mask
-        slot = self._alloc_slot(flow_id)
-        if reuse >= 0:
-            index[reuse] = slot
-            self._tombs -= 1
-        else:
-            index[cell] = slot
-            self._fill += 1
-        if self._fill * 3 >= self._cells * 2:
-            self._rehash()
+        slot = self._insert(flow_id, cell, reuse)
         self.created = True
         return slot
 
@@ -256,6 +336,23 @@ class FlowTable:
                 self.stats.removes += 1
                 return True
             cell = (cell + 1) & mask
+
+    def _insert(self, flow_id: int, cell: int, reuse: int) -> int:
+        """Insert epilogue of a missed probe that ended at empty ``cell``.
+
+        ``reuse`` is the first tombstone the probe passed (``-1`` if none).
+        May rehash, so callers holding the index must re-read it.
+        """
+        slot = self._alloc_slot(flow_id)
+        if reuse >= 0:
+            self._index[reuse] = slot
+            self._tombs -= 1
+        else:
+            self._index[cell] = slot
+            self._fill += 1
+        if self._fill * 3 >= self._cells * 2:
+            self._rehash()
+        return slot
 
     def _alloc_slot(self, flow_id: int) -> int:
         # Validated on the insert path only: a negative id can never *hit*
@@ -361,10 +458,10 @@ class PacingTable(FlowTable):
     implementation's.
 
     Subclasses :class:`FlowTable` rather than wrapping one: the fused
-    per-packet path (:meth:`touch`) probes ``self._index`` directly, and
-    the table API (``lookup`` / ``remove`` / ``len`` / ``in`` /
-    ``memory_bytes`` / ``items``) is inherited instead of re-exported
-    through one-line delegates that each cost a call frame per packet.
+    stamping paths (:meth:`touch`, :meth:`stamp_batch`) probe the index
+    directly, and the table API (``lookup`` / ``remove`` / ``len`` / ``in``
+    / ``memory_bytes`` / ``items``) is inherited instead of re-exported
+    through one-line delegates.
 
     Migration and lease handoffs still travel as real ``ShapingTransaction``
     objects (:meth:`detach` materialises one, :meth:`install` absorbs one):
@@ -385,18 +482,16 @@ class PacingTable(FlowTable):
         self._credit = self.add_column("credit_bytes", "q", 0)
 
     def touch(self, flow_id: int, rate_bps: float, size_bytes: int, now_ns: int) -> int:
-        """Timestamp one packet of ``flow_id``: the per-packet pacing path.
+        """Timestamp one packet of ``flow_id``: the single-packet pacing path.
 
-        One call and one probe: the probe duplicates :meth:`ensure`'s loop
-        *including* the insert epilogue, because under churn a quarter of
-        touches are creations and delegating those would probe the chain
-        twice.  A new flow starts at ``rate_bps`` with burst, credit and
-        next-free at 0 — the exact state of ``ShapingTransaction(name,
-        RateLimit(rate_bps))``; an existing flow keeps its stored rate (and
-        any adopted burst / credit), so ``rate_bps`` is only read on
-        creation.  The index is re-read every call because a rehash
-        replaces it.  The equivalence tests pin the stamps to
-        ``ShapingTransaction.stamp``.
+        One call and one probe; a miss inserts at the cell the probe ended
+        on (:meth:`_insert`), so a creation never probes twice.  A new flow
+        starts at ``rate_bps`` with burst, credit and next-free at 0 — the
+        exact state of ``ShapingTransaction(name, RateLimit(rate_bps))``;
+        an existing flow keeps its stored rate (and any adopted burst /
+        credit), so ``rate_bps`` is only read on creation.  This is the
+        reference :meth:`stamp_batch` is tested against, and the
+        equivalence tests pin both to ``ShapingTransaction.stamp``.
         """
         index = self._index
         key = self.key
@@ -406,15 +501,7 @@ class PacingTable(FlowTable):
         while True:
             slot = index[cell]
             if slot == _EMPTY:
-                slot = self._alloc_slot(flow_id)
-                if reuse >= 0:
-                    index[reuse] = slot
-                    self._tombs -= 1
-                else:
-                    index[cell] = slot
-                    self._fill += 1
-                if self._fill * 3 >= self._cells * 2:
-                    self._rehash()
+                slot = self._insert(flow_id, cell, reuse)
                 self._rate[slot] = rate_bps
                 break
             if slot == _TOMB:
@@ -425,15 +512,94 @@ class PacingTable(FlowTable):
             cell = (cell + 1) & mask
         credit = self._credit[slot]
         next_free = self._next_free[slot]
+        send_at = now_ns if now_ns > next_free else next_free
         if credit >= size_bytes:
             self._credit[slot] = credit - size_bytes
-            send_at = now_ns if now_ns > next_free else next_free
             self._next_free[slot] = send_at
             return send_at
-        send_at = now_ns if now_ns > next_free else next_free
         release = send_at + int(size_bytes * 8 / self._rate[slot] * 1e9)
         self._next_free[slot] = release if release < _I64_MAX else _I64_MAX
         return send_at
+
+    def stamp_batch(
+        self,
+        packets: Iterable[Packet],
+        now_ns: int,
+        rates: Mapping[int, float],
+        default_rate: Optional[float],
+    ) -> List[Tuple[int, Packet]]:
+        """``(send_at, packet)`` for a batch: one call instead of a touch each.
+
+        A flow's rate is ``rates.get(flow_id, default_rate)``; ``None``
+        leaves the flow unpaced (``send_at = now_ns``, no state touched).
+        Paced flows get exactly :meth:`touch`'s stamps, in batch order: the
+        rate lookup and the probe happen once per run of one flow's
+        packets, with the index, key and columns read once per call (and
+        again only after an insert that rehashed).
+        """
+        if default_rate is None and not rates:
+            return [(now_ns, packet) for packet in packets]
+        get_rate = rates.get if rates else None
+        index = self._index
+        mask = self._mask
+        shift = self._shift
+        key = self.key
+        rate_col = self._rate
+        next_col = self._next_free
+        credit_col = self._credit
+        pairs: List[Tuple[int, Packet]] = []
+        append = pairs.append
+        last_flow = None
+        rate = default_rate
+        slot = -1
+        # The pacing gap int(size * 8 / rate * 1e9) of the last (size, rate)
+        # pair: recomputed, with the same expression, only when either moves.
+        gap_size = gap_rate = None
+        gap = 0
+        for packet in packets:
+            flow_id = packet.flow_id
+            if flow_id != last_flow:
+                last_flow = flow_id
+                if get_rate is not None:
+                    rate = get_rate(flow_id, default_rate)
+                if rate is not None:
+                    cell = ((flow_id * _FIB) & _MASK64) >> shift
+                    reuse = -1
+                    while True:
+                        slot = index[cell]
+                        if slot == _EMPTY:
+                            slot = self._insert(flow_id, cell, reuse)
+                            rate_col[slot] = rate
+                            index = self._index
+                            mask = self._mask
+                            shift = self._shift
+                            break
+                        if slot == _TOMB:
+                            if reuse < 0:
+                                reuse = cell
+                        elif key[slot] == flow_id:
+                            break
+                        cell = (cell + 1) & mask
+            if rate is None:
+                append((now_ns, packet))
+                continue
+            size_bytes = packet.size_bytes
+            credit = credit_col[slot]
+            next_free = next_col[slot]
+            send_at = now_ns if now_ns > next_free else next_free
+            if credit >= size_bytes:
+                credit_col[slot] = credit - size_bytes
+                next_col[slot] = send_at
+            else:
+                slot_rate = rate_col[slot]
+                if size_bytes != gap_size or slot_rate != gap_rate:
+                    gap_size = size_bytes
+                    gap_rate = slot_rate
+                    gap = int(size_bytes * 8 / slot_rate * 1e9)
+                release = send_at + gap
+                next_col[slot] = release if release < _I64_MAX else _I64_MAX
+            append((send_at, packet))
+        return pairs
 
     def stamp(self, slot: int, size_bytes: int, now_ns: int) -> int:
         """Timestamp one packet of the live flow holding ``slot`` (via :meth:`touch`)."""

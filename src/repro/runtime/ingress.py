@@ -43,6 +43,7 @@ from __future__ import annotations
 import abc
 from collections import deque
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Deque, Dict, List, Optional, Tuple
 
 from .mailbox import Mailbox
@@ -123,6 +124,10 @@ class RxRing:
     def head(self) -> Tuple[int, Packet]:
         """The oldest resident ``(arrival_ns, packet)`` pair."""
         return self._items[0]
+
+    def head_flows(self, count: int) -> List[int]:
+        """Flow ids of the ``count`` oldest residents (fewer if the ring is shorter)."""
+        return [packet.flow_id for _arrival, packet in islice(self._items, count)]
 
     def pop(self) -> Tuple[int, Packet]:
         """Remove and return the oldest resident pair."""
@@ -437,20 +442,26 @@ class IngressCore:
     def pull(
         self,
         now_ns: int,
-        route: Callable[[int], int],
+        route_batch: Callable[[List[int]], List[int]],
         mailboxes: List[Mailbox],
         deliver: Callable[[int, List[Packet]], int],
     ) -> int:
         """One ingress quantum: classify up to ``pull_batch`` head packets.
 
-        ``route`` maps a flow id to its shard (the runtime passes its
-        residency-aware router, so in-flight flows keep following their
-        packets); ``deliver`` pushes one per-shard group and returns how
-        many the mailbox accepted.  The loop stops early — leaving the
-        blocking packet at the ring head — when a destination mailbox is
-        paused or one more packet would push it to its high watermark /
-        capacity; per-flow FIFO is safe because the *whole ring* waits, not
-        just the blocked flow.
+        ``route_batch`` maps a list of flow ids to their shards (the runtime
+        passes its residency-aware batch router, so in-flight flows keep
+        following their packets); the heads this pull may take are routed
+        in one call up front — routing is a read of placement state, so
+        routing a head early answers what routing it on arrival at the
+        front would — and again only when head drops run past them.
+        ``deliver`` pushes one per-shard group and returns how many the
+        mailbox accepted.  The loop stops early — leaving the blocking
+        packet at the ring head — when a destination mailbox is paused or
+        one more packet would push it to its high watermark / capacity;
+        per-flow FIFO is safe because the *whole ring* waits, not just the
+        blocked flow.  The per-packet ``rx_descriptor`` / ``flow_lookup``
+        (and head-drop ``admission_check``) cycles are charged once per
+        pull with the packet counts.
 
         Returns the number of packets delivered downstream.
         """
@@ -465,21 +476,25 @@ class IngressCore:
             return 0
         policy = self.admission
         backpressure = self.backpressure
+        pull_batch = self.pull_batch
         groups: Dict[int, List[Packet]] = {}
         sojourn_by_shard: Dict[int, List[int]] = {}
         taken = 0
         head_drops = 0
         blocked = False
-        while not ring.empty and taken < self.pull_batch:
+        shards = route_batch(ring.head_flows(pull_batch))
+        position = 0
+        while not ring.empty and taken < pull_batch:
             arrival_ns, packet = ring.head()
             if policy is not None and policy.on_head(ring, now_ns - arrival_ns, now_ns):
                 ring.pop()
-                cost.charge("rx_descriptor")
-                cost.charge("admission_check")
-                stats.rx_dropped += 1
                 head_drops += 1
+                position += 1
                 continue
-            shard = route(packet.flow_id)
+            if position >= len(shards):
+                shards = route_batch(ring.head_flows(pull_batch - taken))
+                position = 0
+            shard = shards[position]
             group = groups.get(shard)
             pending = 0 if group is None else len(group)
             mailbox = mailboxes[shard]
@@ -497,8 +512,7 @@ class IngressCore:
                     blocked = True
                     break
             ring.pop()
-            cost.charge("rx_descriptor")
-            cost.charge("flow_lookup")
+            position += 1
             if group is None:
                 groups[shard] = [packet]
                 sojourn_by_shard[shard] = [now_ns - arrival_ns]
@@ -506,6 +520,13 @@ class IngressCore:
                 group.append(packet)
                 sojourn_by_shard[shard].append(now_ns - arrival_ns)
             taken += 1
+        if head_drops:
+            cost.charge("rx_descriptor", head_drops)
+            cost.charge("admission_check", head_drops)
+            stats.rx_dropped += head_drops
+        if taken:
+            cost.charge("rx_descriptor", taken)
+            cost.charge("flow_lookup", taken)
         delivered = 0
         record_sojourn = self.sojourn_hist.record
         for shard, group in groups.items():

@@ -539,7 +539,11 @@ class ShardedRuntime:
         self.flows = FlowTable()
         self._home = self.flows.add_column("home", "i", -1)
         self._pending = self.flows.add_column("pending", "i", 0)
-        self._routes: Dict[int, List[int]] = {}  # flow -> [shard, slot] (_route)
+        # The current burst's or pull's routes (_route_batch): flow -> shard
+        # and flow -> slot (-1 until _commit creates it).  Plain ints, so
+        # routing allocates nothing the cyclic garbage collector tracks.
+        self._routes: Dict[int, int] = {}
+        self._route_slots: Dict[int, int] = {}
         self._gc_cursor = 0
         self._tick_handles: List[Optional[EventHandle]] = [None] * num_shards
         self._rebalance_handle: Optional[EventHandle] = None
@@ -616,54 +620,66 @@ class ShardedRuntime:
 
     # -- routing -----------------------------------------------------------
 
-    def _route(self, flow_id: int) -> int:
-        """Shard for the next packet of ``flow_id`` (one probe per flow per batch).
+    def _route_batch(self, flow_ids: List[int]) -> List[int]:
+        """Shard per flow id of a burst or pull (each distinct flow resolved once).
 
         A loan beats residency, residency beats placement: a flow on loan to
         a thief stays with the victim that granted the lease (migrating it
         would strand the pacing state travelling with the lease), and a flow
-        with packets in flight follows them home.  Pure lookup — state only
-        changes once a packet is accepted (:meth:`_commit`, which reuses the
-        ``[shard, slot]`` kept in ``_routes``; callers clear it per batch).
+        with packets in flight follows them home; the rest are placed by the
+        sharder in one call.  The flow table is probed once per call.  Pure
+        lookup — state only changes once a packet is accepted
+        (:meth:`_commit`, which reuses the slots kept in ``_route_slots``;
+        callers clear both route maps per burst or pull).
         """
-        route = self._routes.get(flow_id)
-        if route is not None:
-            return route[0]
-        slot = self.flows.lookup(flow_id)
-        sharder = self.sharder
-        loan = sharder.loan_shard(flow_id) if sharder.has_loans else None
-        if loan is not None:
-            shard = loan
-        elif slot >= 0 and self._pending[slot] > 0 and self._home[slot] >= 0:
-            shard = self._home[slot]
-        else:
-            shard = sharder.shard_for(flow_id)
-        self._routes[flow_id] = [shard, slot]
-        return shard
+        routes = self._routes
+        fresh = [flow_id for flow_id in dict.fromkeys(flow_ids) if flow_id not in routes]
+        if fresh:
+            sharder = self.sharder
+            loans = (
+                {f: v for f, v in zip(fresh, sharder.loan_shards(fresh)) if v >= 0}
+                if sharder.has_loans
+                else None
+            )
+            slot_of = self._route_slots
+            home_col = self._home
+            pending_col = self._pending
+            unplaced = []
+            for flow_id, slot in zip(fresh, self.flows.lookup_batch(fresh)):
+                slot_of[flow_id] = slot
+                if loans and flow_id in loans:
+                    routes[flow_id] = loans[flow_id]
+                elif slot >= 0 and pending_col[slot] > 0 and home_col[slot] >= 0:
+                    routes[flow_id] = home_col[slot]
+                else:
+                    unplaced.append(flow_id)
+            if unplaced:
+                routes.update(zip(unplaced, sharder.place_batch(unplaced)))
+        return [routes[flow_id] for flow_id in flow_ids]
 
     def _commit(self, shard: int, packets: List[Packet]) -> None:
         """Record the accepted ``packets`` of this batch on ``shard``.
 
-        Reuses each flow's routed slot once per flow-run (a new flow's slot
-        is created at its first accepted packet); only GC frees slots, never
-        inside a submit.  The first packet on a new home moves the flow's
-        pacing state with it (an RFS-style handoff), so it cannot exceed its
-        rate by hopping shards.  The load window is fed only for a rebalancer.
+        Reuses each flow's routed slot; the accepted flows without one get
+        theirs from one batch insert, in first-appearance order.  Only GC
+        frees slots, never inside a submit.  The first packet on a new home
+        moves the flow's pacing state with it (an RFS-style handoff), so it
+        cannot exceed its rate by hopping shards.  The load window is fed,
+        in one call, only for a rebalancer.
         """
-        routes = self._routes
+        slot_of = self._route_slots
+        flow_ids = [packet.flow_id for packet in packets]
+        unslotted = [flow_id for flow_id in dict.fromkeys(flow_ids) if slot_of[flow_id] < 0]
+        if unslotted:
+            slot_of.update(zip(unslotted, self.flows.ensure_batch(unslotted)))
         home_col = self._home
         pending_col = self._pending
-        record = self.sharder.record if self.rebalancer is not None else None
         last_flow = None
         slot = -1
-        for packet in packets:
-            flow_id = packet.flow_id
+        for flow_id in flow_ids:
             if flow_id != last_flow:
                 last_flow = flow_id
-                route = routes[flow_id]
-                slot = route[1]
-                if slot < 0:
-                    slot = route[1] = self.flows.ensure(flow_id)
+                slot = slot_of[flow_id]
                 home = home_col[slot]
                 if home != shard:
                     if home >= 0:
@@ -673,8 +689,8 @@ class ShardedRuntime:
                             self.workers[shard].adopt_shaper(flow_id, shaper)
                     home_col[slot] = shard
             pending_col[slot] += 1
-            if record is not None:
-                record(flow_id, shard)
+        if self.rebalancer is not None and flow_ids:
+            self.sharder.record_batch(flow_ids, shard)
 
     # -- ingress -----------------------------------------------------------
 
@@ -712,9 +728,9 @@ class ShardedRuntime:
         by_shard: Dict[int, List[Packet]] = {}
         get_group = by_shard.get
         self._routes.clear()
-        route = self._route
-        for packet in packets:
-            shard = route(packet.flow_id)
+        self._route_slots.clear()
+        shards = self._route_batch([packet.flow_id for packet in packets])
+        for packet, shard in zip(packets, shards):
             group = get_group(shard)
             if group is None:
                 by_shard[shard] = [packet]
@@ -806,9 +822,9 @@ class ShardedRuntime:
             groups: Dict[int, List[Packet]] = {0: packets}
         else:
             groups = {}
-            lane_for = self._ingress_sharder.shard_for
-            for packet in packets:
-                groups.setdefault(lane_for(packet.flow_id), []).append(packet)
+            lanes = self._ingress_sharder.place_batch([packet.flow_id for packet in packets])
+            for packet, lane in zip(packets, lanes):
+                groups.setdefault(lane, []).append(packet)
         admitted = 0
         for lane, group in groups.items():
             core = self.ingress_cores[lane]
@@ -877,7 +893,8 @@ class ShardedRuntime:
         if self._wedged and lane in self._wedged:
             return
         self._routes.clear()
-        delivered = core.pull(now, self._route, self._mailboxes, self._handoff)
+        self._route_slots.clear()
+        delivered = core.pull(now, self._route_batch, self._mailboxes, self._handoff)
         if self.tracer is not None:
             self.tracer.emit(
                 now,
@@ -974,30 +991,25 @@ class ShardedRuntime:
     def _deliver(self, released: List[Packet], now: int) -> None:
         """Hand released packets to the NIC side; settle leases they close.
 
-        This runs once per drained packet for the whole runtime, so every
-        per-packet lookup is hoisted into a local before the loop, the
-        optional branches (transmit log, callback, open leases) are resolved
-        once per call, and each flow's pending slot once per flow-run.
+        Every drained packet of the runtime passes through here, so the
+        pending slots of the whole batch come from one flow-table batch
+        lookup, every per-packet reference is hoisted into a local before
+        the loop, and the optional branches (transmit log, callback, open
+        leases) are resolved once per call.
         """
         finished: List[FlowLease] = []
-        lookup = self.flows.lookup
+        slots = self.flows.lookup_batch([packet.flow_id for packet in released])
         pending_col = self._pending
         log_append = self.transmit_log.append if self.record_transmits else None
         on_transmit = self.on_transmit
         open_leases = self._open_leases
         e2e = self._e2e
-        last_flow = None
-        slot = -1
-        for packet in released:
+        for packet, slot in zip(released, slots):
             packet.departure_ns = now
             if e2e is not None:
                 submitted_ns = packet.metadata.pop("e2e_ns", None)
                 if submitted_ns is not None:
                     e2e.record(now - submitted_ns)
-            flow_id = packet.flow_id
-            if flow_id != last_flow:
-                last_flow = flow_id
-                slot = lookup(flow_id)
             if slot >= 0:
                 pending = pending_col[slot] - 1
                 pending_col[slot] = pending if pending > 0 else 0
@@ -1434,9 +1446,13 @@ class ShardedRuntime:
            lent out, banked lease returns that arrived while it lay dead,
            and pacing state of flows that still have packets in flight here
            (:meth:`PacingTable.detach` → ``install``);
-        5. flows homed here with nothing in flight re-home lazily: the home
-           clears, the next packet routes by policy, and the re-armed
-           rebalancer re-pins from fresh load figures.
+        5. flows homed here with nothing in flight re-home lazily: their
+           placement state is forgotten, so the next packet routes by policy
+           and the re-armed rebalancer re-pins from fresh load figures.  A
+           flow whose shaper is still future-dated (``next_free_ns > now``)
+           keeps its home and its pacing state rides into the fresh worker,
+           so wherever its next packet routes, :meth:`_commit`'s handoff
+           carries the shaper along; the others clear their home.
         """
         crashed_at = self._dead.pop(shard)
         old = self.workers[shard]
@@ -1511,20 +1527,26 @@ class ShardedRuntime:
         for flow_id, thief in loaned.items():
             fresh.mark_on_loan(flow_id, thief)
         home_col = self._home
+        pacing = old.pacing
         for flow_id, slot in self.flows.items():
             if home_col[slot] != shard:
                 continue
-            if pending_col[slot] > 0:
-                # Packets survive (mailbox, or out with a thief): the flow
-                # stays homed here and its pacing state rides across.
-                shaper = old.pacing.detach(flow_id)
-                if shaper is not None:
-                    fresh.pacing.install(flow_id, shaper)
-                    stats.shapers_recovered += 1
-            else:
+            idle = pending_col[slot] == 0
+            if idle:
+                # Placement state re-derives: the next packet routes by
+                # policy and the re-armed rebalancer re-pins from fresh load.
+                self.sharder.forget(flow_id)
+            pacing_slot = pacing.lookup(flow_id)
+            if pacing_slot >= 0 and (not idle or pacing.next_free_at(pacing_slot) > now):
+                # Packets survive (mailbox, or out with a thief), or the
+                # shaper is still future-dated: the flow stays homed here
+                # and its pacing state rides across, so a packet routed
+                # elsewhere takes it along through _commit's handoff.
+                fresh.pacing.install(flow_id, pacing.detach(flow_id))
+                stats.shapers_recovered += 1
+            elif idle:
                 home_col[slot] = -1
                 stats.flows_rehomed += 1
-                self.sharder.forget(flow_id)
         self.workers[shard] = fresh
         stats.shards_recovered += 1
         stats.recoveries += 1

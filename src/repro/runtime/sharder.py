@@ -162,30 +162,45 @@ class FlowSharder:
 
     def shard_for(self, flow_id: int) -> int:
         """Shard index for ``flow_id`` (pins beat the policy)."""
-        self.stats.lookups += 1
+        return self.place_batch([flow_id])[0]
+
+    def place_batch(self, flow_ids: List[int]) -> List[int]:
+        """Shard index per flow id, in one call (pins beat the policy).
+
+        Flows are placed in list order, so round-robin assigns exactly as
+        one :meth:`shard_for` per flow would; ``stats.lookups`` counts one
+        per flow placed.  The pin and sticky columns are read through one
+        batch lookup, and not at all under hash placement while nothing is
+        pinned.
+        """
+        self.stats.lookups += len(flow_ids)
         if self.policy == "round_robin":
             flows = self.flows
-            slot = flows.lookup(flow_id)
-            if slot >= 0:
-                pinned = self._pin[slot]
-                if pinned >= 0:
-                    return pinned
-                shard = self._sticky[slot]
-                if shard >= 0:
-                    return shard
-            else:
-                slot = flows.ensure(flow_id)
-            shard = self._next_rr
-            self._next_rr = (self._next_rr + 1) % self.num_shards
-            self._sticky[slot] = shard
-            return shard
-        if self._num_pins:
-            slot = self.flows.lookup(flow_id)
-            if slot >= 0:
-                pinned = self._pin[slot]
-                if pinned >= 0:
-                    return pinned
-        return rss_hash(flow_id, self.hash_seed) % self.num_shards
+            pin = self._pin
+            sticky = self._sticky
+            shards = []
+            for flow_id, slot in zip(flow_ids, flows.lookup_batch(flow_ids)):
+                if slot < 0:
+                    # Also finds a flow placed earlier in this batch.
+                    slot = flows.ensure(flow_id)
+                shard = pin[slot]
+                if shard < 0:
+                    shard = sticky[slot]
+                    if shard < 0:
+                        shard = self._next_rr
+                        self._next_rr = (shard + 1) % self.num_shards
+                        sticky[slot] = shard
+                shards.append(shard)
+            return shards
+        seed = self.hash_seed
+        num_shards = self.num_shards
+        if not self._num_pins:
+            return [rss_hash(flow_id, seed) % num_shards for flow_id in flow_ids]
+        pin = self._pin
+        return [
+            pin[slot] if slot >= 0 and pin[slot] >= 0 else rss_hash(flow_id, seed) % num_shards
+            for flow_id, slot in zip(flow_ids, self.flows.lookup_batch(flow_ids))
+        ]
 
     def pin(self, flow_id: int, shard: int) -> None:
         """Force ``flow_id`` onto ``shard`` (overrides the policy)."""
@@ -277,14 +292,18 @@ class FlowSharder:
 
     def loan_shard(self, flow_id: int) -> Optional[int]:
         """The victim shard that owns ``flow_id`` while on loan, or ``None``."""
+        victim = self.loan_shards([flow_id])[0]
+        return victim if victim >= 0 else None
+
+    def loan_shards(self, flow_ids: List[int]) -> List[int]:
+        """Victim shard per flow id while on loan, ``-1`` otherwise (one batch probe)."""
         if self._num_loans == 0:
-            return None
-        slot = self.flows.lookup(flow_id)
-        if slot >= 0:
-            victim = self._loan[slot]
-            if victim >= 0:
-                return victim
-        return None
+            return [-1] * len(flow_ids)
+        loan = self._loan
+        return [
+            loan[slot] if slot >= 0 else -1
+            for slot in self.flows.lookup_batch(flow_ids)
+        ]
 
     def loaned_flows(self) -> Dict[int, int]:
         """Mapping of every on-loan flow id to its owning (victim) shard."""
@@ -316,6 +335,30 @@ class FlowSharder:
         self._wpkts[slot] += packets
         self._wshard[slot] = shard
         self._window_shard_packets[shard] += packets
+
+    def record_batch(self, flow_ids: List[int], shard: int) -> None:
+        """``record(f, shard)`` for each flow id in order, in one call.
+
+        The window slots come from one batch probe.  When the batch could
+        push the window past ``window_limit``, evictions would interleave
+        with the inserts, so it falls back to :meth:`record` per id to keep
+        the exact same victims.
+        """
+        if self._num_window + len(flow_ids) > self.window_limit:
+            for flow_id in flow_ids:
+                self.record(flow_id, shard)
+            return
+        wshard = self._wshard
+        wpkts = self._wpkts
+        added = 0
+        for slot in self.flows.ensure_batch(flow_ids):
+            if wshard[slot] < 0:
+                added += 1
+            wpkts[slot] += 1
+            wshard[slot] = shard
+        self._num_window += added
+        self.stats.window_packets += len(flow_ids)
+        self._window_shard_packets[shard] += len(flow_ids)
 
     def _evict_window_entry(self, exclude: int) -> None:
         """Drop the coldest of a few probed window entries (bounded memory).

@@ -40,6 +40,7 @@ protocol (see :mod:`repro.runtime.stealing`):
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import attrgetter
 from typing import Callable, Dict, List, Optional
 
 from .flowstate import PacingTable
@@ -51,9 +52,16 @@ from ..core.model.transactions import ShapingTransaction
 from ..core.queues import BucketSpec, CircularFFSQueue, IntegerPriorityQueue, QueueStats
 from ..core.queues.base import CounterStatsMixin
 from ..cpu import CostModel
+from ..cpu.cost_model import QUEUE_STATS_COSTS
 
 #: Builds a shard's backing queue from a spec (cFFS by default).
 QueueFactory = Callable[[BucketSpec], IntegerPriorityQueue]
+
+#: The charged queue counters, read in one call, and their cost operations
+#: (both in :data:`QUEUE_STATS_COSTS` order, the order the cost model
+#: charges them in).
+_QUEUE_COUNTERS = attrgetter(*QUEUE_STATS_COSTS)
+_QUEUE_OPERATIONS = tuple(QUEUE_STATS_COSTS.values())
 
 
 @dataclass(slots=True)
@@ -106,7 +114,8 @@ class ShardWorker:
         "cost",
         "stats",
         "steal",
-        "_queue_snapshot",
+        "_settled",
+        "_queue_cycles",
         "pacing",
         "_backlog",
         "_on_loan",
@@ -160,7 +169,10 @@ class ShardWorker:
         self.cost = CostModel()
         self.stats = ShardWorkerStats()
         self.steal = StealStats()
-        self._queue_snapshot = QueueStats()
+        #: Charged queue counters as of the last settlement, and the cycle
+        #: cost of one occurrence of each counter's operation.
+        self._settled = _QUEUE_COUNTERS(self.queue.stats)
+        self._queue_cycles = tuple(self.cost.cost_of(op) for op in _QUEUE_OPERATIONS)
         self.pacing = PacingTable(shard_id)
         self._backlog = 0
         # Work-stealing donor state: flows currently on loan to a thief, plus
@@ -226,34 +238,37 @@ class ShardWorker:
         return False
 
     def _charge_queue_delta(self) -> None:
-        delta = self.queue.stats.diff(self._queue_snapshot)
-        self.cost.charge_queue_stats(delta.as_dict())
-        self._queue_snapshot = self.queue.stats.snapshot()
+        """Charge the queue work done since the last settlement, in one pass.
+
+        Exactly what charging ``QueueStats.diff(...).as_dict()`` charges
+        (same operations, cycles and order, zero deltas skipped), without
+        building a snapshot, a diff or a dict per tick.
+        """
+        values = _QUEUE_COUNTERS(self.queue.stats)
+        settled = self._settled
+        if values == settled:
+            return
+        charge = self.cost.account.charge
+        for operation, cycles, value, before in zip(
+            _QUEUE_OPERATIONS, self._queue_cycles, values, settled
+        ):
+            if value != before:
+                charge(operation, cycles, value - before)
+        self._settled = values
 
     # -- the per-quantum worker loop ---------------------------------------
 
     def _stamp_and_enqueue(self, packets: List[Packet], now_ns: int) -> int:
         """Stamp ``packets`` with their flows' pacing state, one batched enqueue.
 
-        One :meth:`PacingTable.touch` (one call, one probe) per paced packet;
-        the rate lookup is cached per run of same-flow packets.  The modelled
-        ``flow_lookup`` charge stays per-packet (the probe a real classifier
-        performs).  The caller settles the queue counters.
+        One :meth:`PacingTable.stamp_batch` call stamps the whole batch and
+        one ``enqueue_batch`` queues it.  The modelled ``flow_lookup``
+        charge stays per packet (the probe a real classifier performs).
+        The caller settles the queue counters.
         """
-        pairs = []
-        append = pairs.append
-        touch = self.pacing.touch
-        get_rate = self.flow_rates.get
-        default_rate = self.default_rate_bps
-        last_flow = None
-        rate = None
-        for packet in packets:
-            flow_id = packet.flow_id
-            if flow_id != last_flow:
-                last_flow = flow_id
-                rate = get_rate(flow_id, default_rate)
-            send_at = now_ns if rate is None else touch(flow_id, rate, packet.size_bytes, now_ns)
-            append((send_at, packet))
+        pairs = self.pacing.stamp_batch(
+            packets, now_ns, self.flow_rates, self.default_rate_bps
+        )
         self.cost.charge("flow_lookup", len(pairs))
         queue = self.queue
         before = len(queue)
@@ -402,9 +417,10 @@ class ShardWorker:
         if not self.has_work_by(cutoff):
             return None
         self._charge_queue_delta()  # settle this shard's own work first
+        before = self.queue.stats.snapshot()
         stolen = self.queue.extract_due(cutoff, limit=max_packets)
-        delta = self.queue.stats.diff(self._queue_snapshot)
-        self._queue_snapshot = self.queue.stats.snapshot()
+        delta = self.queue.stats.diff(before)
+        self._settled = _QUEUE_COUNTERS(self.queue.stats)  # the thief pays it
         self._backlog -= len(stolen)
         flows: Dict[int, None] = {}
         for _send_at, packet in stolen:

@@ -1,5 +1,9 @@
 """Unit tests for Packet, Flow, FlowState and FlowTable."""
 
+import dataclasses
+import pickle
+
+import pytest
 
 from repro.core.model import Flow, FlowTable, Packet
 
@@ -23,6 +27,30 @@ class TestPacket:
         assert packet.rank is None
         assert packet.departure_ns is None
         assert packet.priority_class == 0
+
+    def test_slotted_without_instance_dict(self):
+        packet = Packet(flow_id=1)
+        assert not hasattr(packet, "__dict__")
+        with pytest.raises(AttributeError):
+            packet.stray_attribute = 1
+
+    def test_pickle_roundtrip_keeps_every_field(self):
+        packet = Packet(flow_id=4, size_bytes=64, rank=9, arrival_ns=10).annotate(
+            lease_id=3, stolen_from=1
+        )
+        packet.departure_ns = 25
+        restored = pickle.loads(pickle.dumps(packet))
+        assert restored == packet
+        assert restored.packet_id == packet.packet_id
+        assert restored.metadata == {"lease_id": 3, "stolen_from": 1}
+
+    def test_replace_keeps_fields(self):
+        packet = Packet(flow_id=2, size_bytes=576, priority_class=3).annotate(leaf="a")
+        copy = dataclasses.replace(packet, rank=5)
+        assert copy.rank == 5
+        assert (copy.flow_id, copy.size_bytes, copy.priority_class) == (2, 576, 3)
+        assert copy.metadata == {"leaf": "a"}
+        assert copy.packet_id == packet.packet_id
 
 
 class TestFlow:

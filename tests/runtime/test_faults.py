@@ -158,6 +158,66 @@ class TestShardCrashRecovery:
         assert runtime.telemetry().faults["recovery_log"] == []
 
 
+class TestCrashKeepsFutureShapers:
+    """A crash must not reset the pacing of a flow that is idle but paced ahead.
+
+    Flow 7 sends at 0 and 60 us at 50 Mb/s, so its second 1500 B packet is
+    due 240 us after the first.  A packet of another flow at 5 us gives the
+    target shard its second tick, where it crashes; recovery runs before
+    the second packet arrives with flow 7 homed on the dead shard and
+    nothing in flight.
+    """
+
+    FLOW = 7
+    SPACING_NS = 240_000  # 1500 B at 50 Mb/s
+
+    def _run(self, crash_target, pin=None):
+        sharder = FlowSharder(2)
+        if pin is not None:
+            sharder.pin(self.FLOW, pin)
+        runtime = ShardedRuntime(
+            2,
+            sharder=sharder,
+            quantum_ns=10_000,
+            default_rate_bps=50e6,
+            fault_plan=FaultPlan([FaultEvent("shard_crash", target=crash_target, at=2)]),
+        )
+        other = next(
+            flow for flow in range(100, 200)
+            if FlowSharder(2).shard_for(flow) == crash_target
+        )
+        schedule = runtime.simulator.schedule_at
+        for when_ns, flow_id in ((0, self.FLOW), (5_000, other), (60_000, self.FLOW)):
+            schedule(
+                when_ns,
+                lambda flow_id=flow_id: runtime.submit(Packet(flow_id=flow_id, size_bytes=1500)),
+            )
+        runtime.run()
+        return runtime
+
+    def _assert_paced_through_the_crash(self, runtime):
+        first, second = [
+            now for now, packet in runtime.transmit_log if packet.flow_id == self.FLOW
+        ]
+        assert second - first >= self.SPACING_NS
+        assert runtime.fault_stats.shards_recovered == 1
+        assert runtime.fault_stats.shapers_recovered == 1
+        _assert_residual_clean(runtime)
+
+    def test_crash_of_the_flows_hash_shard(self):
+        home = FlowSharder(2).shard_for(self.FLOW)
+        self._assert_paced_through_the_crash(self._run(crash_target=home))
+
+    def test_crash_of_the_pinned_shard_reroutes_by_hash(self):
+        # The pin dies with the crash, so packet 1 routes to the hash shard
+        # and the carried shaper must move there with it.
+        pinned = 1 - FlowSharder(2).shard_for(self.FLOW)
+        runtime = self._run(crash_target=pinned, pin=pinned)
+        self._assert_paced_through_the_crash(runtime)
+        assert runtime.sharder.pinned_shard(self.FLOW) is None
+        assert runtime.migrations_applied == 1
+
+
 class TestShardStall:
     def test_stall_is_cleared_and_nothing_is_lost(self):
         runtime = ShardedRuntime(

@@ -148,7 +148,7 @@ class TestIngressCorePull:
         sharder = FlowSharder(len(mailboxes))
         return core.pull(
             now,
-            sharder.shard_for,
+            sharder.place_batch,
             mailboxes,
             lambda shard, group: mailboxes[shard].push_batch(group),
         )
@@ -178,7 +178,7 @@ class TestIngressCorePull:
         core.offer(_packets([1] * 6), now_ns=0)
         mailbox = Mailbox(capacity=8, high_watermark=4, low_watermark=1)
         delivered = core.pull(
-            0, lambda _flow: 0, [mailbox],
+            0, lambda flows: [0] * len(flows), [mailbox],
             lambda shard, group: mailbox.push_batch(group),
         )
         # The pull stops once delivery would land occupancy at the high
@@ -225,7 +225,7 @@ class TestIngressCorePull:
 
         def pull(now):
             return core.pull(
-                now, lambda _flow: 0, mailboxes,
+                now, lambda flows: [0] * len(flows), mailboxes,
                 lambda shard, group: mailboxes[shard].push_batch(group),
             )
 

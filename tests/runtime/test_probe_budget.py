@@ -1,10 +1,12 @@
-"""Per-packet flow-state work on the datapath, as deterministic call counts.
+"""Flow-state work on the datapath, as deterministic call counts per batch.
 
-Each packet of a paced flow is resolved once at submit (route and commit
-share the slot), stamped through one ``PacingTable.touch`` and settled once
-per flow-run at delivery; the sharder places only flows with nothing in
-flight and its load window is fed only while a rebalancer reads it.  The
-counts are interpreter calls, so they are exact on every host.
+A burst is routed with one flow-table batch lookup and one sharder
+placement call, and each shard's accepted group gets its new flows' slots
+from one batch insert; a tick stamps its whole ingest with one
+``PacingTable.stamp_batch`` and settles delivery with one batch lookup.  So
+calls into the flow tables and the sharder are bounded per burst and per
+tick, never per packet.  The counts are interpreter calls, so they are
+exact on every host.
 """
 
 import random
@@ -18,13 +20,19 @@ FLOWSTATE = [
     (FlowTable, "lookup"),
     (FlowTable, "ensure"),
     (FlowTable, "remove"),
+    (FlowTable, "lookup_batch"),
+    (FlowTable, "ensure_batch"),
     (PacingTable, "touch"),
     (PacingTable, "stamp"),
+    (PacingTable, "stamp_batch"),
 ]
 SHARDER = [
     (FlowSharder, "shard_for"),
     (FlowSharder, "record"),
     (FlowSharder, "loan_shard"),
+    (FlowSharder, "place_batch"),
+    (FlowSharder, "record_batch"),
+    (FlowSharder, "loan_shards"),
 ]
 
 BURSTS = 32
@@ -71,13 +79,15 @@ def test_uniform_paced_probe_budget(counts):
     packets = BURSTS * BURST_PACKETS
     assert runtime.transmitted == packets
     assert runtime.flows_in_flight() == 0
-    # At most one flow-table call per packet at each of route, stamp and
-    # deliver; a separate commit, load-window or pacing-slot probe per
-    # packet would break the budget.
-    assert counts["flowstate"] <= 3 * packets
-    # Placement of drained flows only: no per-packet loan probe while
-    # nothing is on loan, no load-window record without a rebalancer.
-    assert counts["sharder"] <= 1.5 * packets
+    ticks = sum(worker.stats.ticks for worker in runtime.workers)
+    assert ticks < BURSTS * BURST_PACKETS / 8  # the bound below is not per packet
+    # Per burst: one route lookup plus one slot insert per shard group;
+    # per tick: one stamp batch plus one delivery lookup.  One call per
+    # packet (or per flow) anywhere on the path breaks the budget.
+    assert counts["flowstate"] <= (1 + runtime.num_shards) * BURSTS + 2 * ticks
+    # One placement call per burst: no per-flow placement, no loan probe
+    # while nothing is on loan, no load-window record without a rebalancer.
+    assert counts["sharder"] <= BURSTS
 
 
 def test_dropped_new_flow_leaves_no_state():
